@@ -18,23 +18,7 @@ module E = Nf_experiments
 
 open Cmdliner
 
-(* Minimal JSON string escaping for the merged-report envelope; the
-   reports themselves are serialized by [Report.to_json]. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Nf_util.Json
 
 let list_cmd =
   let doc = "List the available experiments and transport protocols." in
@@ -43,26 +27,24 @@ let list_cmd =
   in
   let run json =
     if json then begin
+      let entry name description =
+        Json.Obj [ ("name", Json.Str name); ("description", Json.Str description) ]
+      in
       let exps =
         List.map
-          (fun e ->
-            Printf.sprintf "{\"name\": \"%s\", \"description\": \"%s\"}"
-              (json_escape e.E.Registry.name)
-              (json_escape e.E.Registry.description))
+          (fun e -> entry e.E.Registry.name e.E.Registry.description)
           (E.Registry.all ())
       in
       let protos =
         List.map
           (fun name ->
-            let p = Nf_sim.Protocols.get name in
-            Printf.sprintf "{\"name\": \"%s\", \"description\": \"%s\"}"
-              (json_escape name)
-              (json_escape (Nf_sim.Protocol.description p)))
+            entry name (Nf_sim.Protocol.description (Nf_sim.Protocols.get name)))
           (Nf_sim.Protocols.names ())
       in
-      print_string
-        (Printf.sprintf "{\"experiments\": [%s], \"protocols\": [%s]}\n"
-           (String.concat ", " exps) (String.concat ", " protos))
+      print_endline
+        (Json.to_string
+           (Json.Obj
+              [ ("experiments", Json.List exps); ("protocols", Json.List protos) ]))
     end
     else begin
       Format.printf "Experiments (nf_run exp NAME):@.";
@@ -182,7 +164,8 @@ let with_observability ~trace ~metrics ~profile ~diag f =
   | None -> ()
   | Some path -> (
     let text =
-      if Filename.check_suffix path ".json" then Metrics.to_json Metrics.global
+      if Filename.check_suffix path ".json" then
+        Json.to_string (Metrics.to_json Metrics.global)
       else Metrics.to_prometheus Metrics.global
     in
     match
@@ -211,7 +194,7 @@ let record_arg =
   Arg.(value & opt (some string) None & info [ "record" ] ~docv:"FILE" ~doc)
 
 let export_records path =
-  let json = E.Support.records_json () in
+  let json = Json.to_string (E.Support.records_json ()) in
   match
     let oc = open_out path in
     output_string oc json;
@@ -245,26 +228,31 @@ let render_text ~all results =
   Buffer.contents buf
 
 let report_json_entry (r : E.Runner.result) =
+  let name = ("name", Json.Str r.E.Runner.task_name) in
   match r.E.Runner.outcome with
   | Ok report ->
-    Printf.sprintf "{\"name\": \"%s\", \"status\": \"ok\", \"report\": %s}"
-      (json_escape r.E.Runner.task_name)
-      (E.Report.to_json report)
+    Json.Obj [ name; ("status", Json.Str "ok"); ("report", E.Report.to_json report) ]
   | Error (E.Runner.Timed_out budget) ->
-    Printf.sprintf
-      "{\"name\": \"%s\", \"status\": \"timed_out\", \"error\": \"no attempt \
-       finished within %gs\"}"
-      (json_escape r.E.Runner.task_name) budget
+    Json.Obj
+      [
+        name;
+        ("status", Json.Str "timed_out");
+        ("error", Json.Str (Printf.sprintf "no attempt finished within %gs" budget));
+      ]
   | Error (E.Runner.Failed msg) ->
-    Printf.sprintf "{\"name\": \"%s\", \"status\": \"failed\", \"error\": \"%s\"}"
-      (json_escape r.E.Runner.task_name) (json_escape msg)
+    Json.Obj [ name; ("status", Json.Str "failed"); ("error", Json.Str msg) ]
 
 (* The merged envelope records the context (so a consumer can tell a
    --quick artifact from a full one) but no wall-clock data. *)
 let render_json ~scale ~seed results =
-  Printf.sprintf "{\"scale\": %.12g, \"seed\": %d, \"reports\": [%s]}\n" scale
-    seed
-    (String.concat ", " (List.map report_json_entry results))
+  Json.to_string
+    (Json.Obj
+       [
+         ("scale", Json.Num scale);
+         ("seed", Json.Num (float_of_int seed));
+         ("reports", Json.List (List.map report_json_entry results));
+       ])
+  ^ "\n"
 
 let render_csv ~all results =
   let buf = Buffer.create 4096 in
@@ -667,7 +655,7 @@ let serve_drive_cmd =
   in
   let field_num fields name =
     match List.assoc_opt name fields with
-    | Some v -> Option.value (Serve.Sjson.to_float v) ~default:Float.nan
+    | Some v -> Option.value (Json.to_float v) ~default:Float.nan
     | None -> Float.nan
   in
   let run port socket leaves spines per_leaf pool topo_seed events target seed

@@ -1,3 +1,5 @@
+module Json = Nf_util.Json
+
 type cell = Text of string | Int of int | Float of float
 
 type t = {
@@ -87,55 +89,20 @@ let to_text t = Format.asprintf "%a" pp t
 (* ------------------------------------------------------------------ *)
 (* JSON *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let cell_json = function
-  | Text s -> Printf.sprintf "\"%s\"" (json_escape s)
-  | Int i -> string_of_int i
-  | Float f ->
-    if Float.is_finite f then Printf.sprintf "%.12g" f else "null"
-
 let to_json t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b (Printf.sprintf "{\"title\": \"%s\"" (json_escape t.title));
-  Buffer.add_string b ", \"columns\": [";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (Printf.sprintf "\"%s\"" (json_escape c)))
-    t.columns;
-  Buffer.add_string b "], \"rows\": [";
-  List.iteri
-    (fun i row ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_char b '[';
-      List.iteri
-        (fun j c ->
-          if j > 0 then Buffer.add_string b ", ";
-          Buffer.add_string b (cell_json c))
-        row;
-      Buffer.add_char b ']')
-    t.rows;
-  Buffer.add_string b "], \"notes\": [";
-  List.iteri
-    (fun i n ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (Printf.sprintf "\"%s\"" (json_escape n)))
-    t.notes;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let str s = Json.Str s in
+  let cell = function
+    | Text s -> Json.Str s
+    | Int i -> Json.Num (float_of_int i)
+    | Float f -> Json.Num f
+  in
+  Json.Obj
+    [
+      ("title", str t.title);
+      ("columns", Json.List (List.map str t.columns));
+      ("rows", Json.List (List.map (fun row -> Json.List (List.map cell row)) t.rows));
+      ("notes", Json.List (List.map str t.notes));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* CSV *)

@@ -11,7 +11,9 @@
 type cell =
   | Text of string
   | Int of int
-  | Float of float  (** rendered with ["%.6g"] in text, ["%.12g"] in JSON/CSV *)
+  | Float of float
+      (** rendered with ["%.6g"] in text, ["%.12g"] in CSV, exactly (as
+          {!Nf_util.Json} prints numbers) in JSON *)
 
 type t = {
   title : string;
@@ -43,9 +45,9 @@ val pp : Format.formatter -> t -> unit
 
 val to_text : t -> string
 
-val to_json : t -> string
-(** [{"title": ..., "columns": [...], "rows": [[...]], "notes": [...]}].
-    Non-finite floats become [null]. *)
+val to_json : t -> Nf_util.Json.t
+(** [{"title":...,"columns":[...],"rows":[[...]],"notes":[...]}].
+    Non-finite floats print as [null]. *)
 
 val to_csv : t -> string
 (** RFC-4180-style: header line, one line per row; notes appended as

@@ -4,6 +4,7 @@ module Scheme = Nf_fluid.Scheme
 module Convergence = Nf_fluid.Convergence
 module Routing = Nf_topo.Routing
 module Topology = Nf_topo.Topology
+module Json = Nf_util.Json
 
 type scheme_kind =
   | Scheme_numfabric of { params : Xwi_core.params; interval : float }
@@ -252,11 +253,13 @@ let keep_record ~label record =
 let records () = with_records (fun () -> List.rev !collected_records)
 
 let records_json () =
-  let runs =
-    List.map
-      (fun (label, record) ->
-        Printf.sprintf "{\"label\": %S, \"record\": %s}" label
-          (Nf_sim.Record.to_json record))
-      (List.sort (fun (a, _) (b, _) -> String.compare a b) (records ()))
+  let run (label, record) =
+    Json.Obj [ ("label", Json.Str label); ("record", Nf_sim.Record.to_json record) ]
   in
-  Printf.sprintf "{\"runs\": [%s]}" (String.concat ", " runs)
+  Json.Obj
+    [
+      ( "runs",
+        Json.List
+          (List.map run
+             (List.sort (fun (a, _) (b, _) -> String.compare a b) (records ()))) );
+    ]

@@ -126,6 +126,6 @@ val records : unit -> (string * Nf_sim.Record.t) list
 (** Records kept since the last reset, in deposit order (deposit order
     is scheduling-dependent under a parallel runner). *)
 
-val records_json : unit -> string
-(** [{"runs": [{"label": ..., "record": <Record.to_json>}, ...]}],
-    sorted by label. *)
+val records_json : unit -> Nf_util.Json.t
+(** [{"runs":[{"label":...,"record":<Record.to_json>},...]}], sorted by
+    label. *)

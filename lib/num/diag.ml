@@ -1,4 +1,5 @@
 module Trace = Nf_util.Trace
+module Json = Nf_util.Json
 
 (* Opt-in per-iteration solver instrumentation. A [t] is attached to one
    [Xwi_core.state]; the solver snapshots prices/rates before each step
@@ -194,28 +195,24 @@ let report t =
       Array.init (Array.length t.eps) (fun k -> (t.eps.(k), t.eps_iter.(k)));
   }
 
-let json_num v =
-  if not (Float.is_finite v) then Printf.sprintf "%S" (Float.to_string v)
-  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v
+let int n = Json.Num (float_of_int n)
 
 let report_to_json r =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"iterations\":%d,\"final_residual\":%s,\"to_eps\":["
-       r.r_iterations
-       (json_num r.r_final_residual));
-  Array.iteri
-    (fun k (eps, it) ->
-      if k > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "[%s,%d]" (json_num eps) it))
-    r.r_to_eps;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  Json.Obj
+    [
+      ("iterations", int r.r_iterations);
+      ("final_residual", Json.Num r.r_final_residual);
+      ( "to_eps",
+        Json.List
+          (Array.to_list
+             (Array.map
+                (fun (eps, it) -> Json.List [ Json.Num eps; int it ])
+                r.r_to_eps)) );
+    ]
 
 let pp_report ppf r =
-  Format.fprintf ppf "@[<v>xWI diagnostics: %d iterations, final residual %s@,"
-    r.r_iterations (json_num r.r_final_residual);
+  Format.fprintf ppf "@[<v>xWI diagnostics: %d iterations, final residual %g@,"
+    r.r_iterations r.r_final_residual;
   Array.iter
     (fun (eps, it) ->
       if it >= 0 then
@@ -226,44 +223,62 @@ let pp_report ppf r =
 
 (* --- postmortem dump ------------------------------------------------ *)
 
-let sample_to_jsonl s =
-  Printf.sprintf
-    "{\"kind\":\"iter\",\"iter\":%d,\"residual\":%s,\"price_delta\":%s,\"price_l2\":%s,\"worst_link\":%d,\"active_links\":%d,\"waterfill_rounds\":%d,\"waterfill_level\":%s,\"saturated_links\":%d,\"shard_max\":%s,\"shard_mean\":%s}"
-    s.s_iter (json_num s.s_residual) (json_num s.s_price_delta)
-    (json_num s.s_price_l2) s.s_worst_link s.s_active_links s.s_wf_rounds
-    (json_num s.s_wf_level) s.s_wf_saturated (json_num s.s_shard_max)
-    (json_num s.s_shard_mean)
+let sample_to_json s =
+  Json.Obj
+    [
+      ("kind", Json.Str "iter");
+      ("iter", int s.s_iter);
+      ("residual", Json.Num s.s_residual);
+      ("price_delta", Json.Num s.s_price_delta);
+      ("price_l2", Json.Num s.s_price_l2);
+      ("worst_link", int s.s_worst_link);
+      ("active_links", int s.s_active_links);
+      ("waterfill_rounds", int s.s_wf_rounds);
+      ("waterfill_level", Json.Num s.s_wf_level);
+      ("saturated_links", int s.s_wf_saturated);
+      ("shard_max", Json.Num s.s_shard_max);
+      ("shard_mean", Json.Num s.s_shard_mean);
+    ]
 
 let dump ?final_residual t ~converged ~path =
   let r = report t in
   let final =
     match final_residual with Some f -> f | None -> r.r_final_residual
   in
+  let meta =
+    Json.Obj
+      [
+        ("kind", Json.Str "meta");
+        ("converged", Json.Bool converged);
+        ("iterations", int r.r_iterations);
+        ("final_residual", Json.Num final);
+        ("n_links", int t.n_links);
+        ("n_flows", int t.n_flows);
+      ]
+  in
+  let worst =
+    Json.Obj
+      [
+        ("kind", Json.Str "worst_links");
+        ( "links",
+          Json.List
+            (List.map
+               (fun (l, d) -> Json.List [ int l; Json.Num d ])
+               (worst_links t)) );
+      ]
+  in
+  let to_eps =
+    Json.Obj [ ("kind", Json.Str "to_eps"); ("report", report_to_json r) ]
+  in
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      output_string oc
-        (Printf.sprintf
-           "{\"kind\":\"meta\",\"converged\":%b,\"iterations\":%d,\"final_residual\":%s,\"n_links\":%d,\"n_flows\":%d}\n"
-           converged r.r_iterations (json_num final) t.n_links t.n_flows);
       List.iter
-        (fun s ->
-          output_string oc (sample_to_jsonl s);
+        (fun line ->
+          output_string oc (Json.to_string line);
           output_char oc '\n')
-        (samples t);
-      let buf = Buffer.create 256 in
-      Buffer.add_string buf "{\"kind\":\"worst_links\",\"links\":[";
-      List.iteri
-        (fun i (l, d) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (Printf.sprintf "[%d,%s]" l (json_num d)))
-        (worst_links t);
-      Buffer.add_string buf "]}\n";
-      output_string oc (Buffer.contents buf);
-      output_string oc "{\"kind\":\"to_eps\",\"report\":";
-      output_string oc (report_to_json r);
-      output_string oc "}\n")
+        ((meta :: List.map sample_to_json (samples t)) @ [ worst; to_eps ]))
 
 (* --- process-wide configuration (the [--diag] switch) --------------- *)
 

@@ -96,7 +96,9 @@ type report = {
 
 val report : t -> report
 
-val report_to_json : report -> string
+val report_to_json : report -> Nf_util.Json.t
+(** [{"iterations":..,"final_residual":..,"to_eps":[[eps,iter],...]}]; a
+    non-finite residual prints as [null]. *)
 
 val pp_report : Format.formatter -> report -> unit
 

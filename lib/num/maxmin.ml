@@ -49,10 +49,7 @@ let validate ~caps ~paths ~weights =
    the flows crossing it, and continue. Integer per-link active-flow counts
    (not float weight sums) decide which links still constrain the fill, so
    rounding noise can never leave a phantom constraint that would stall the
-   loop. O(rounds * total path length), rounds <= number of links.
-
-   All state lives in the caller's workspace so the per-iteration fluid
-   solver ({!Xwi_core.step}) allocates nothing here. *)
+   loop. O(rounds * total path length), rounds <= number of links. *)
 let solve_core ws ~caps ~paths ~weights ~rates =
   let n_flows = Array.length paths and n_links = Array.length caps in
   let frozen = ws.w_frozen
@@ -152,19 +149,6 @@ let solve_core ws ~caps ~paths ~weights ~rates =
     end
   done
 
-let check_sizes ws ~caps ~paths ~weights ~rates =
-  let n_flows = Array.length paths and n_links = Array.length caps in
-  if
-    Array.length weights <> n_flows
-    || Array.length rates <> n_flows
-    || Array.length ws.w_frozen <> n_flows
-    || Array.length ws.w_rem_cap <> n_links
-  then invalid_arg "Maxmin.solve_into: workspace/array size mismatch"
-
-let solve_into ws ~caps ~paths ~weights ~rates =
-  check_sizes ws ~caps ~paths ~weights ~rates;
-  solve_core ws ~caps ~paths ~weights ~rates
-
 let solve ~caps ~paths ~weights =
   validate ~caps ~paths ~weights;
   let n_flows = Array.length paths and n_links = Array.length caps in
@@ -175,10 +159,6 @@ let solve ~caps ~paths ~weights =
 
 let solve_problem problem ~weights =
   solve ~caps:(Problem.caps problem) ~paths:(Problem.paths problem) ~weights
-
-let solve_problem_into ws problem ~weights ~rates =
-  solve_into ws ~caps:(Problem.caps problem) ~paths:(Problem.paths problem)
-    ~weights ~rates
 
 (* ------------------------------------------------------------------ *)
 (* Sparse (CSR/CSC-driven) water-filling over an [Incidence.t].

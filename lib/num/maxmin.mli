@@ -23,30 +23,6 @@ val solve_problem : Problem.t -> weights:float array -> result
 (** Convenience wrapper reading capacities and paths from a {!Problem.t}
     (group structure is ignored: max-min operates on sub-flows). *)
 
-type workspace
-(** Preallocated scratch state for the allocation-free entry points below.
-    A workspace is sized for one problem shape and may be reused across
-    any number of solves of that shape. Not thread-safe. *)
-
-val workspace : n_links:int -> n_flows:int -> workspace
-
-val solve_into :
-  workspace ->
-  caps:float array ->
-  paths:int array array ->
-  weights:float array ->
-  rates:float array ->
-  unit
-(** Allocation-free variant of {!solve}: writes the allocation into the
-    caller-owned [rates] array (length [n_flows]). Performs only cheap
-    size checks — inputs are assumed validated once up front (the fluid
-    xWI iteration calls this every step on a fixed problem).
-    @raise Invalid_argument on a workspace/array size mismatch. *)
-
-val solve_problem_into :
-  workspace -> Problem.t -> weights:float array -> rates:float array -> unit
-(** {!solve_into} reading capacities and paths from a {!Problem.t}. *)
-
 type sparse_workspace
 (** Scratch state for {!solve_sparse}, sized for one {!Incidence.t}.
     Reusable across solves; not thread-safe. *)
@@ -59,7 +35,7 @@ val solve_sparse :
   weights:Incidence.vec ->
   rates:Incidence.vec ->
   unit
-(** CSR/CSC-driven water-filling: same semantics as {!solve_into} but the
+(** CSR/CSC-driven water-filling: same semantics as {!solve} but the
     freeze scan is link-major over the CSC columns of the round's
     saturated links, so work is O(rounds · n_links + nnz) instead of
     O(rounds · nnz). Rates agree with {!solve} to floating-point rounding

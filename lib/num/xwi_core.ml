@@ -65,17 +65,12 @@ let[@inline] urate_fast u p =
 
 (* Per-state scratch: one allocation at [init], zero per [step]. The
    [v_*] fields are the unboxed float64 working set of the sparse step
-   pipeline (see DESIGN.md "Sparse NUM core"); the [b_*] float arrays
-   serve the fixpoint loop snapshots and the exported legacy-shaped
-   entry points. Abstract in the interface so states can only come from
-   the init functions. *)
+   pipeline (see DESIGN.md "Sparse NUM core"); the [b_old_*] float
+   arrays are the fixpoint loop snapshots. Abstract in the interface so
+   states can only come from the init functions. *)
 type buffers = {
-  b_loads : float array;  (* n_links *)
   b_old_prices : float array;  (* n_links; fixpoint-loop snapshot *)
-  b_residual : float array;  (* n_flows *)
   b_old_rates : float array;  (* n_flows; fixpoint-loop snapshot *)
-  b_group_rates : float array;  (* n_groups *)
-  b_group_marginal : float array;  (* n_groups *)
   (* sparse working set *)
   v_prices : Incidence.vec;  (* n_links *)
   v_rates : Incidence.vec;  (* n_flows; prev rates in, max-min rates out *)
@@ -108,12 +103,8 @@ let make_buffers problem =
   and n_flows = Problem.n_flows problem
   and n_groups = Problem.n_groups problem in
   {
-    b_loads = Array.make n_links 0.;
     b_old_prices = Array.make n_links 0.;
-    b_residual = Array.make n_flows 0.;
     b_old_rates = Array.make n_flows 0.;
-    b_group_rates = Array.make n_groups 0.;
-    b_group_marginal = Array.make n_groups 0.;
     v_prices = Incidence.vec n_links;
     v_rates = Incidence.vec n_flows;
     v_weights = Incidence.vec n_flows;
@@ -197,93 +188,14 @@ let flow_weights problem ~prices ~prev_rates =
   flow_weights_into problem ~prices ~prev_rates ~out;
   out
 
-(* Eqs. 9-11 with every per-iteration array drawn from [bufs]. Updates
-   [prices] in place: each link's new price reads only its own old price
-   plus the residuals/loads precomputed above, so the in-place sweep is
-   equivalent to the synchronized update. *)
-let[@nf.hot] price_update_into problem params bufs ~prices ~rates =
-  let n_links = Problem.n_links problem in
-  let caps = Problem.caps problem in
-  let loads = bufs.b_loads in
-  Problem.link_loads_into problem ~rates loads;
-  let n_groups = Problem.n_groups problem in
-  let group_rates = bufs.b_group_rates in
-  Problem.group_rates_into problem ~rates group_rates;
-  let group_marginal = bufs.b_group_marginal in
-  for g = 0 to n_groups - 1 do
-    group_marginal.(g) <-
-      (Problem.group_utility problem g).Utility.deriv
-        (Float.max group_rates.(g) 1e-12)
-  done;
-  (* Normalized residual of each flow (what the sender would put in the
-     normalizedResidual header field). *)
-  let n_flows = Problem.n_flows problem in
-  let residual = bufs.b_residual in
-  for i = 0 to n_flows - 1 do
-    let g = Problem.flow_group problem i in
-    let price = Problem.path_price problem ~prices i in
-    residual.(i) <-
-      (group_marginal.(g) -. price) /. float_of_int (Problem.path_len problem i)
-  done;
-  for l = 0 to n_links - 1 do
-    let flows = Problem.link_flows problem l in
-    (* Sub-flows carrying negligible traffic contribute (almost) no data
-       packets, hence no residuals at the switch; excluding them also
-       keeps an optimally-unused sub-flow (whose residual is legitimately
-       negative — KKT only requires its path price to EXCEED the marginal
-       utility) from dragging the link price below the fixed point. *)
-    let n_here = float_of_int (Array.length flows) in
-    (* "Negligible" is relative to the average flow on this link, so the
-       rule is scale-free and survives both fat links with many mice and
-       thin links with one elephant. *)
-    let min_res =
-      match params.residual_agg with
-      | Agg_min ->
-        let acc = ref infinity in
-        for k = 0 to Array.length flows - 1 do
-          let i = flows.(k) in
-          if rates.(i) *. n_here >= 1e-3 *. loads.(l) then
-            acc := Float.min !acc residual.(i)
-        done;
-        !acc
-      | Agg_mean ->
-        let sum = ref 0. and count = ref 0 in
-        for k = 0 to Array.length flows - 1 do
-          let i = flows.(k) in
-          if rates.(i) *. n_here >= 1e-3 *. loads.(l) then begin
-            sum := !sum +. residual.(i);
-            incr count
-          end
-        done;
-        if !count = 0 then infinity else !sum /. float_of_int !count
-    in
-    let p_old = prices.(l) in
-    let utilization = Nf_util.Fcmp.clamp ~lo:0. ~hi:1. (loads.(l) /. caps.(l)) in
-    let p_new =
-      if Float.is_finite min_res then
-        Float.max 0.
-          (p_old +. min_res -. (params.eta *. (1. -. utilization) *. p_old))
-      else
-        (* No (significant) traffic: drive the price to zero via the
-           utilization term alone. *)
-        Float.max 0. (p_old -. (params.eta *. (1. -. utilization) *. p_old))
-    in
-    prices.(l) <- (params.beta *. p_old) +. ((1. -. params.beta) *. p_new)
-  done
-
-let price_update problem params ~prices ~rates =
-  let out = Array.copy prices in
-  price_update_into problem params (make_buffers problem) ~prices:out ~rates;
-  out
-
 (* ------------------------------------------------------------------ *)
-(* Sparse step pipeline. Same math as the legacy entry points above, but
+(* Sparse step pipeline. Same math as the dense [Nf_num.Reference], but
    every sweep is a tight loop over the CSR/CSC index arrays of the
    problem's [Incidence.t] with the working set in unboxed float64 vecs,
    and the path prices are computed exactly once per step: the prices do
    not change between the Eq. 7 weight computation and the Eq. 9 residual
    computation, so both read [v_path_price]. Accumulation orders match
-   the legacy code operand for operand; only the water-filling freeze
+   the dense code operand for operand; only the water-filling freeze
    order differs (see [Maxmin.solve_sparse]). *)
 
 let[@nf.hot] flow_weights_sparse (utils : Utility.t array) (inc : Incidence.t)

@@ -97,9 +97,6 @@ val flow_weights_into :
 (** Allocation-free {!flow_weights} into a caller array of length
     [n_flows]. *)
 
-val price_update : Problem.t -> params -> prices:float array -> rates:float array -> float array
-(** Eqs. 9–11: one synchronized price update for all links. *)
-
 val step : Problem.t -> params -> state -> unit
 (** One full iteration over the sparse CSR/CSC working set: path prices
     (computed once), Eq. 7 weights, max-min rates, Eqs. 9–11 price

@@ -35,14 +35,14 @@ val encode_command : command -> string
 (** One line, no trailing newline. [decode_command (encode_command c)]
     round-trips. *)
 
-(** {2 Replies} — built as {!Sjson.t} so call sites can add fields. *)
+(** {2 Replies} — built as {!Nf_util.Json.t} so call sites can add fields. *)
 
-val ok : (string * Sjson.t) list -> string
+val ok : (string * Nf_util.Json.t) list -> string
 (** [{"ok":true, ...fields}] as one line. *)
 
 val error : string -> string
 (** [{"ok":false,"error":reason}] as one line. *)
 
-val decode_reply : string -> ((string * Sjson.t) list, string) result
+val decode_reply : string -> ((string * Nf_util.Json.t) list, string) result
 (** Client side: the reply's fields on ["ok":true], [Error reason] on an
     error reply or malformed input. *)

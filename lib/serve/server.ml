@@ -1,5 +1,6 @@
 module Metrics = Nf_util.Metrics
 module Trace = Nf_util.Trace
+module Json = Nf_util.Json
 
 type addr = Tcp of int | Unix_sock of string
 
@@ -115,17 +116,17 @@ let serve_http c line =
 (* ------------------------------------------------------------------ *)
 (* Command execution *)
 
-let num v = Sjson.Num v
+let num v = Json.Num v
 
-let int_num v = Sjson.Num (float_of_int v)
+let int_num v = Json.Num (float_of_int v)
 
 let epoch_fields (e : Engine.epoch) =
   [
     ("epoch", int_num e.Engine.epoch);
     ("events", int_num e.Engine.events);
     ("iterations", int_num e.Engine.iterations);
-    ("converged", Sjson.Bool e.Engine.converged);
-    ("warm", Sjson.Bool e.Engine.warm);
+    ("converged", Json.Bool e.Engine.converged);
+    ("warm", Json.Bool e.Engine.warm);
     ("elapsed", num e.Engine.elapsed);
     ("groups", int_num e.Engine.n_groups);
     ("flows", int_num e.Engine.n_flows);
@@ -209,7 +210,7 @@ let process_buffer t c =
 
 let push_epoch t (e : Engine.epoch) =
   let line =
-    Sjson.to_string (Sjson.Obj (("push", Sjson.Str "epoch") :: epoch_fields e))
+    Json.to_string (Json.Obj (("push", Json.Str "epoch") :: epoch_fields e))
   in
   List.iter (fun c -> if c.subscribed then send c line) t.clients
 
@@ -231,12 +232,12 @@ let push_trace t =
       List.iter
         (fun (ev : Trace.event) ->
           let line =
-            Sjson.to_string
-              (Sjson.Obj
+            Json.to_string
+              (Json.Obj
                  [
-                   ("push", Sjson.Str "trace");
+                   ("push", Json.Str "trace");
                    ("time", num ev.Trace.time);
-                   ("kind", Sjson.Str (Trace.kind_name ev.Trace.kind));
+                   ("kind", Json.Str (Trace.kind_name ev.Trace.kind));
                    ("subject", int_num ev.Trace.subject);
                    ("value", num ev.Trace.value);
                    ("aux", num ev.Trace.aux);

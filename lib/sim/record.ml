@@ -1,4 +1,5 @@
 module Timeseries = Nf_util.Timeseries
+module Json = Nf_util.Json
 
 type channel = Queue | Price | Rate | Drops | Fct | Metric
 
@@ -68,35 +69,28 @@ let snapshot_metrics t ~registry ~time =
 (* ------------------------------------------------------------------ *)
 (* Export *)
 
-let json_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v
-
 let to_json t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"channels\": {";
-  List.iteri
-    (fun ci channel ->
-      if ci > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf (Printf.sprintf "%S: [" (channel_name channel));
-      List.iteri
-        (fun si subject ->
-          if si > 0 then Buffer.add_string buf ", ";
-          let ts = series t channel ~subject in
-          Buffer.add_string buf (Printf.sprintf "{\"subject\": %d, \"samples\": [" subject);
-          List.iteri
-            (fun i (time, v) ->
-              if i > 0 then Buffer.add_string buf ", ";
-              Buffer.add_string buf
-                (Printf.sprintf "[%s, %s]" (json_float time) (json_float v)))
-            (Timeseries.to_list ts);
-          Buffer.add_string buf "]}")
-        (subjects t channel);
-      Buffer.add_string buf "]")
-    all_channels;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+  let series_json channel subject =
+    Json.Obj
+      [
+        ("subject", Json.Num (float_of_int subject));
+        ( "samples",
+          Json.List
+            (List.map
+               (fun (time, v) -> Json.List [ Json.Num time; Json.Num v ])
+               (Timeseries.to_list (series t channel ~subject))) );
+      ]
+  in
+  Json.Obj
+    [
+      ( "channels",
+        Json.Obj
+          (List.map
+             (fun channel ->
+               ( channel_name channel,
+                 Json.List (List.map (series_json channel) (subjects t channel)) ))
+             all_channels) );
+    ]
 
 let to_csv t =
   let buf = Buffer.create 4096 in
@@ -122,6 +116,6 @@ let write_file ~path contents =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc contents)
 
-let write_json t ~path = write_file ~path (to_json t)
+let write_json t ~path = write_file ~path (Json.to_string (to_json t))
 
 let write_csv t ~path = write_file ~path (to_csv t)

@@ -60,13 +60,14 @@ val snapshot_metrics : t -> registry:Nf_util.Metrics.t -> time:float -> unit
 
 (** {2 Export} *)
 
-val to_json : t -> string
-(** [{"channels": {"queue": [{"subject": 3, "samples": [[t, v], ...]},
-    ...], ...}}] — every channel appears, empty ones as [[]]. *)
+val to_json : t -> Nf_util.Json.t
+(** [{"channels":{"queue":[{"subject":3,"samples":[[t,v],...]},...],...}}]
+    — every channel appears, empty ones as [[]]. *)
 
 val to_csv : t -> string
 (** One row per sample: [channel,subject,time,value]. *)
 
 val write_json : t -> path:string -> unit
+(** {!to_json}, printed with {!Nf_util.Json.to_string}. *)
 
 val write_csv : t -> path:string -> unit

@@ -132,16 +132,13 @@ let fold_values t ~init ~f =
     (in_order t);
   !acc
 
+(* Prometheus sample values. Bucket bounds use the same formatting as
+   every other sample: [%g] would round non-representable bounds (0.1 ->
+   "0.1" vs the stored 0.10000000000000001), so the [le] labels would not
+   round-trip to the exact bound the histogram cuts on. *)
 let num v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.17g" v
-
-(* Bucket bounds use the same formatting as every other float sample
-   ([num]): [%g] would round non-representable bounds (0.1 ->
-   "0.1" vs the stored 0.10000000000000001), so the Prometheus [le]
-   labels and the JSON bucket bounds would not round-trip to the exact
-   bound the histogram cuts on. *)
-let bound_label = num
 
 let to_prometheus t =
   let buf = Buffer.create 1024 in
@@ -179,7 +176,7 @@ let to_prometheus t =
             cum := !cum + h.counts.(i);
             Buffer.add_string buf
               (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" m.name
-                 (bound_label b) !cum))
+                 (num b) !cum))
           h.bounds;
         Buffer.add_string buf
           (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" m.name
@@ -192,30 +189,26 @@ let to_prometheus t =
   Buffer.contents buf
 
 let to_json t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"metrics\": [";
-  List.iteri
-    (fun i m ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Printf.sprintf "{\"name\": %S, \"type\": %S, " m.name
-           (kind_label m.value));
-      (match m.value with
-      | Counter c -> Buffer.add_string buf (Printf.sprintf "\"value\": %d" !c)
-      | Gauge g ->
-        Buffer.add_string buf (Printf.sprintf "\"value\": %s" (num !g))
+  let int n = Json.Num (float_of_int n) in
+  let metric m =
+    let fields =
+      match m.value with
+      | Counter c -> [ ("value", int !c) ]
+      | Gauge g -> [ ("value", Json.Num !g) ]
       | Histogram h ->
-        Buffer.add_string buf "\"buckets\": [";
-        Array.iteri
-          (fun i b ->
-            if i > 0 then Buffer.add_string buf ", ";
-            Buffer.add_string buf
-              (Printf.sprintf "[%s, %d]" (bound_label b) h.counts.(i)))
-          h.bounds;
-        Buffer.add_string buf
-          (Printf.sprintf "], \"inf\": %d, \"sum\": %s, \"count\": %d"
-             h.inf_count (num h.sum) (histogram_count h)));
-      Buffer.add_string buf "}")
-    (in_order t);
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+        [
+          ( "buckets",
+            Json.List
+              (Array.to_list
+                 (Array.mapi
+                    (fun i b -> Json.List [ Json.Num b; int h.counts.(i) ])
+                    h.bounds)) );
+          ("inf", int h.inf_count);
+          ("sum", Json.Num h.sum);
+          ("count", int (histogram_count h));
+        ]
+    in
+    Json.Obj
+      (("name", Json.Str m.name) :: ("type", Json.Str (kind_label m.value)) :: fields)
+  in
+  Json.Obj [ ("metrics", Json.List (List.map metric (in_order t))) ]

@@ -68,6 +68,7 @@ val to_prometheus : t -> string
 (** Prometheus text exposition: [# HELP] / [# TYPE] lines, then samples
     (histograms as [_bucket{le=...}] / [_sum] / [_count]). *)
 
-val to_json : t -> string
-(** [{"metrics": [{"name": ..., "type": ..., "value": ...}, ...]}];
-    histograms carry [buckets], [sum] and [count]. *)
+val to_json : t -> Json.t
+(** [{"metrics":[{"name":...,"type":...,"value":...},...]}]; histograms
+    carry [buckets] ([[bound,count]] pairs), [inf], [sum] and [count].
+    Print with {!Json.to_string}. *)

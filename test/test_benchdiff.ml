@@ -1,7 +1,8 @@
-(* Tests for the bench regression gate: the hand-rolled JSON reader and
-   the report diff/verdict model behind tools/benchdiff. *)
+(* Tests for the bench regression gate: the JSON reader it loads reports
+   with (Nf_util.Json) and the report diff/verdict model behind
+   tools/benchdiff. *)
 
-module Json = Nf_benchdiff_lib.Json
+module Json = Nf_util.Json
 module Diff = Nf_benchdiff_lib.Diff
 
 let quick name f = Alcotest.test_case name `Quick f
@@ -30,29 +31,43 @@ let test_json_scalars () =
   | _ -> Alcotest.fail "expected Str"
 
 let test_json_nested () =
-  let doc =
-    parse_ok "nested"
-      {|{"rev": "abc", "quick": false, "kernels": {"a": 1, "b": 2.5, "skip": "x"},
+  let text =
+    {|{"rev": "abc", "quick": false, "kernels": {"a": 1, "b": 2.5, "skip": "x"},
          "experiments": [{"name": "e1", "seconds": 0.125}]}|}
   in
+  let doc = parse_ok "nested" text in
   Alcotest.(check (option string)) "rev"
     (Some "abc")
     (Option.bind (Json.member "rev" doc) Json.to_str);
-  (match Json.member "kernels" doc with
-  | Some kernels ->
-      Alcotest.(check (list (pair string (float 0.))))
-        "num_members skips non-numeric"
-        [ ("a", 1.); ("b", 2.5) ]
-        (Json.num_members kernels)
-  | None -> Alcotest.fail "no kernels");
-  match
-    Option.bind (Json.member "experiments" doc) Json.to_list
-  with
+  Alcotest.(check bool) "kernels in document order" true
+    (Json.member "kernels" doc
+    = Some
+        (Json.Obj
+           [ ("a", Json.Num 1.); ("b", Json.Num 2.5); ("skip", Json.Str "x") ]));
+  (match
+     Option.bind (Json.member "experiments" doc) Json.to_list
+   with
   | Some [ e1 ] ->
       Alcotest.(check (option (float 0.)))
         "nested seconds" (Some 0.125)
-        (Option.bind (Json.member "seconds" e1) Json.to_num)
-  | _ -> Alcotest.fail "expected one experiment"
+        (Option.bind (Json.member "seconds" e1) Json.to_float)
+  | _ -> Alcotest.fail "expected one experiment");
+  (* The same document loaded as a bench report: non-numeric kernel
+     entries are skipped. *)
+  let path = Filename.temp_file "bench_nested" ".json" in
+  let oc = open_out path in
+  output_string oc text;
+  close_out oc;
+  (match Diff.load path with
+  | Ok r ->
+      Alcotest.(check (list (pair string (float 0.))))
+        "num_members skips non-numeric"
+        [ ("a", 1.); ("b", 2.5) ]
+        r.Diff.kernels;
+      Alcotest.(check (list (pair string (float 0.))))
+        "experiments" [ ("e1", 0.125) ] r.Diff.experiments
+  | Error msg -> Alcotest.failf "load: %s" msg);
+  Sys.remove path
 
 let test_json_errors () =
   let contains what needle msg =
@@ -191,13 +206,13 @@ let test_diff_rendering () =
     (contains "**Verdict: FAIL**" md);
   (* The JSON rendering must parse with our own reader and carry the
      regression count. *)
-  let json = Diff.to_json cfg ~old_report ~new_report rows in
+  let json = Json.to_string (Diff.to_json cfg ~old_report ~new_report rows) in
   (match Json.parse json with
   | Error msg -> Alcotest.failf "to_json output does not parse: %s" msg
   | Ok doc ->
       Alcotest.(check (option (float 0.)))
         "regression count" (Some 1.)
-        (Option.bind (Json.member "regressions" doc) Json.to_num));
+        (Option.bind (Json.member "regressions" doc) Json.to_float));
   Sys.remove old_path;
   Sys.remove new_path
 

@@ -201,6 +201,23 @@ let test_fig6a_dt_extremes () =
       (at24.E.Exp_fig6.median >= at6.E.Exp_fig6.median)
   | _ -> Alcotest.fail "expected two points"
 
+let test_records_json_labels () =
+  (* Labels are arbitrary bytes: UTF-8 and control characters must come
+     back from the JSON export exactly. *)
+  let label = "caf\xc3\xa9 \x01\"tab\t" in
+  E.Support.reset_records ();
+  E.Support.keep_record ~label (Nf_sim.Record.create ());
+  let json = Nf_util.Json.to_string (E.Support.records_json ()) in
+  E.Support.reset_records ();
+  match Nf_util.Json.parse json with
+  | Error msg -> Alcotest.failf "records_json does not parse: %s" msg
+  | Ok doc -> (
+    match Nf_util.Json.obj_list "runs" doc with
+    | Some [ run ] ->
+      Alcotest.(check (option string)) "label bytes" (Some label)
+        (Nf_util.Json.obj_str "label" run)
+    | _ -> Alcotest.fail "expected one run")
+
 let () =
   Alcotest.run "nf_experiments"
     [
@@ -230,4 +247,5 @@ let () =
           slow "queues track dt" test_queues_track_dt;
           quick "ablation harness" test_ablation_runs;
         ] );
+      ("support", [ quick "record labels round-trip" test_records_json_labels ]);
     ]

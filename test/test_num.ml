@@ -1025,7 +1025,7 @@ let test_diag_observe_and_report () =
       Alcotest.(check bool) "worst link id in range" true (l >= 0 && l < 2);
       Alcotest.(check bool) "worst link delta non-negative" true (delta >= 0.))
     (Diag.worst_links d);
-  let json = Diag.report_to_json r in
+  let json = Nf_util.Json.to_string (Diag.report_to_json r) in
   Alcotest.(check bool) "report json mentions iterations" true
     (contains ~needle:"\"iterations\"" json)
 

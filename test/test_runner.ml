@@ -54,13 +54,25 @@ let test_report_text () =
 
 let test_report_json () =
   let json =
-    Report.to_json
-      (Report.make ~title:"j" ~columns:[ "x" ] [ [ Report.float Float.nan ] ])
+    Nf_util.Json.to_string
+      (Report.to_json
+         (Report.make ~title:"j" ~columns:[ "x" ] [ [ Report.float Float.nan ] ]))
   in
   Alcotest.(check bool) "non-finite floats become null" true
     (contains ~needle:"null" json);
   Alcotest.(check bool) "has columns key" true
-    (contains ~needle:"\"columns\": [\"x\"]" json)
+    (contains ~needle:"\"columns\":[\"x\"]" json);
+  Alcotest.(check bool) "parses back to the same values" true
+    (Nf_util.Json.parse json
+    = Ok
+        Nf_util.Json.(
+          Obj
+            [
+              ("title", Str "j");
+              ("columns", List [ Str "x" ]);
+              ("rows", List [ List [ Null ] ]);
+              ("notes", List []);
+            ]))
 
 let test_report_csv () =
   let csv =

@@ -740,7 +740,7 @@ let test_record_json_has_channels () =
        ~size:200_000. ~id:0 ~src:sb.Builders.senders.(0)
        ~dst:sb.Builders.receiver ());
   Network.run net ~until:0.01;
-  let json = Nf_sim.Record.to_json (Network.record net) in
+  let json = Nf_util.Json.to_string (Nf_sim.Record.to_json (Network.record net)) in
   let contains needle =
     let nl = String.length needle and jl = String.length json in
     let rec go i = i + nl <= jl && (String.sub json i nl = needle || go (i + 1)) in
@@ -835,11 +835,65 @@ let test_record_csv_header () =
 let test_record_empty_json () =
   (* The .mli contract: every channel appears in the JSON, empty ones as
      []. *)
-  let json = Nf_sim.Record.to_json (Nf_sim.Record.create ()) in
+  let json = Nf_util.Json.to_string (Nf_sim.Record.to_json (Nf_sim.Record.create ())) in
   Alcotest.(check string) "empty record shape"
-    "{\"channels\": {\"queue\": [], \"price\": [], \"rate\": [], \"drops\": \
-     [], \"fct\": [], \"metric\": []}}"
+    "{\"channels\":{\"queue\":[],\"price\":[],\"rate\":[],\"drops\":[],\
+     \"fct\":[],\"metric\":[]}}"
     json
+
+let test_nonfinite_json_is_null () =
+  (* JSON has no NaN or infinity: every emitter prints them as null, so
+     each output still parses and carries Null at those positions. *)
+  let module Json = Nf_util.Json in
+  let module Metrics = Nf_util.Metrics in
+  let parse what v =
+    match Json.parse (Json.to_string v) with
+    | Ok doc -> doc
+    | Error msg -> Alcotest.failf "%s does not parse: %s" what msg
+  in
+  let r = Nf_sim.Record.create () in
+  Nf_sim.Record.add r Nf_sim.Record.Queue ~subject:0 ~time:0. Float.nan;
+  Nf_sim.Record.add r Nf_sim.Record.Queue ~subject:0 ~time:1. Float.infinity;
+  Alcotest.(check bool) "record samples" true
+    (Option.bind
+       (Json.member "channels" (parse "record" (Nf_sim.Record.to_json r)))
+       (Json.obj_list "queue")
+    = Some
+        [
+          Json.Obj
+            [
+              ("subject", Json.Num 0.);
+              ( "samples",
+                Json.List
+                  [
+                    Json.List [ Json.Num 0.; Json.Null ];
+                    Json.List [ Json.Num 1.; Json.Null ];
+                  ] );
+            ];
+        ]);
+  let m = Metrics.create () in
+  Metrics.set_gauge (Metrics.gauge m "g_nan") Float.nan;
+  Metrics.set_gauge (Metrics.gauge m "g_inf") Float.neg_infinity;
+  Alcotest.(check bool) "metrics gauges" true
+    (List.map (Json.member "value")
+       (Option.value ~default:[]
+          (Json.obj_list "metrics" (parse "metrics" (Metrics.to_json m))))
+    = [ Some Json.Null; Some Json.Null ]);
+  let report =
+    {
+      Nf_num.Diag.r_iterations = 3;
+      r_final_residual = Float.infinity;
+      r_to_eps = [| (Float.nan, -1) |];
+    }
+  in
+  Alcotest.(check bool) "diag report" true
+    (parse "diag report" (Nf_num.Diag.report_to_json report)
+    = Json.Obj
+        [
+          ("iterations", Json.Num 3.);
+          ("final_residual", Json.Null);
+          ("to_eps", Json.List [ Json.List [ Json.Null; Json.Num (-1.) ] ]);
+        ])
 
 let () =
   Alcotest.run "nf_sim"
@@ -893,6 +947,7 @@ let () =
           quick "record json has all channels" test_record_json_has_channels;
           quick "record csv header" test_record_csv_header;
           quick "record empty json shape" test_record_empty_json;
+          quick "non-finite floats print as null" test_nonfinite_json_is_null;
           quick "trace flow lifecycle" test_trace_flow_lifecycle;
         ] );
     ]

@@ -12,6 +12,7 @@ module Units = Nf_util.Units
 module Trace = Nf_util.Trace
 module Metrics = Nf_util.Metrics
 module Profile = Nf_util.Profile
+module Json = Nf_util.Json
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -706,10 +707,10 @@ let test_metrics_json_and_fold () =
   Metrics.add c 2;
   let g = Metrics.gauge r "b_depth" in
   Metrics.set_gauge g 1.5;
-  let json = Metrics.to_json r in
+  let json = Json.to_string (Metrics.to_json r) in
   Alcotest.(check string) "json"
-    "{\"metrics\": [{\"name\": \"a_total\", \"type\": \"counter\", \"value\": 2}, \
-     {\"name\": \"b_depth\", \"type\": \"gauge\", \"value\": 1.5}]}"
+    "{\"metrics\":[{\"name\":\"a_total\",\"type\":\"counter\",\"value\":2},\
+     {\"name\":\"b_depth\",\"type\":\"gauge\",\"value\":1.5}]}"
     json;
   let folded =
     Metrics.fold_values r ~init:[] ~f:(fun acc ~id ~name v ->

@@ -1,3 +1,5 @@
+module Json = Nf_util.Json
+
 type report = {
   path : string;
   rev : string;
@@ -11,44 +13,51 @@ type report = {
 
 let opt_or default = function Some v -> v | None -> default
 
+(* All [Num]-valued bindings of an object, in document order. *)
+let num_members = function
+  | Json.Obj bindings ->
+      List.filter_map
+        (fun (k, v) -> match v with Json.Num n -> Some (k, n) | _ -> None)
+        bindings
+  | _ -> []
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
 let load path =
-  match Json.parse_file path with
-  | Error msg -> Error msg
+  match Json.parse (read_file path) with
+  | exception Sys_error msg -> Error msg
+  | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
   | Ok doc -> (
       match Json.member "kernels" doc with
       | None -> Error (path ^ ": not a bench report (no \"kernels\" field)")
       | Some kernels ->
-          let num key = Option.bind (Json.member key doc) Json.to_num in
+          let num key = Json.obj_float key doc in
           let experiments =
-            Option.bind (Json.member "experiments" doc) Json.to_list
+            Json.obj_list "experiments" doc
             |> opt_or []
             |> List.filter_map (fun e ->
-                   match
-                     ( Option.bind (Json.member "name" e) Json.to_str,
-                       Option.bind (Json.member "seconds" e) Json.to_num )
-                   with
+                   match (Json.obj_str "name" e, Json.obj_float "seconds" e) with
                    | Some name, Some seconds -> Some (name, seconds)
                    | _ -> None)
           in
           let metrics =
             (* The embedded dump is {"metrics": [{name; type; value; ...}]};
                histograms carry buckets instead of a value and are skipped. *)
-            Option.bind (Json.member "metrics" doc) (Json.member "metrics")
-            |> Fun.flip Option.bind Json.to_list
+            Option.bind (Json.member "metrics" doc) (Json.obj_list "metrics")
             |> opt_or []
             |> List.filter_map (fun m ->
-                   match
-                     ( Option.bind (Json.member "name" m) Json.to_str,
-                       Option.bind (Json.member "value" m) Json.to_num )
-                   with
+                   match (Json.obj_str "name" m, Json.obj_float "value" m) with
                    | Some name, Some value -> Some (name, value)
                    | _ -> None)
           in
           Ok
             {
               path;
-              rev =
-                opt_or "?" (Option.bind (Json.member "rev" doc) Json.to_str);
+              rev = opt_or "?" (Json.obj_str "rev" doc);
               quick =
                 (match Json.member "quick" doc with
                 | Some (Json.Bool b) -> b
@@ -58,7 +67,7 @@ let load path =
                 | Some j, _ | None, Some j -> int_of_float j
                 | None, None -> 1);
               total_seconds = num "total_seconds";
-              kernels = Json.num_members kernels;
+              kernels = num_members kernels;
               experiments;
               metrics;
             })
@@ -285,66 +294,45 @@ let to_markdown cfg ~old_report ~new_report rows =
    end);
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_num v =
-  (* Round-trippable and valid JSON (no nan/infinity in reports). *)
-  let s = Printf.sprintf "%.17g" v in
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else s
-
-let json_opt = function Some v -> json_num v | None -> "null"
-
 let to_json cfg ~old_report ~new_report rows =
-  let buf = Buffer.create 4096 in
+  let opt = function Some v -> Json.Num v | None -> Json.Null in
   let side r =
-    Printf.sprintf
-      "{\"path\": \"%s\", \"rev\": \"%s\", \"quick\": %b, \"jobs_parallel\": \
-       %d, \"total_seconds\": %s}"
-      (json_escape r.path) (json_escape r.rev) r.quick r.jobs_parallel
-      (json_opt r.total_seconds)
+    Json.Obj
+      [
+        ("path", Json.Str r.path);
+        ("rev", Json.Str r.rev);
+        ("quick", Json.Bool r.quick);
+        ("jobs_parallel", Json.Num (float_of_int r.jobs_parallel));
+        ("total_seconds", opt r.total_seconds);
+      ]
   in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"old\": %s,\n" (side old_report));
-  Buffer.add_string buf (Printf.sprintf "  \"new\": %s,\n" (side new_report));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"config\": {\"kernel_threshold\": %s, \"time_threshold\": %s, \
-        \"gate_time\": %b},\n"
-       (json_num cfg.kernel_threshold)
-       (json_num cfg.time_threshold)
-       cfg.gate_time);
-  Buffer.add_string buf "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"section\": \"%s\", \"name\": \"%s\", \"old\": %s, \"new\": \
-            %s, \"delta_pct\": %s, \"verdict\": \"%s\", \"gated\": %b}%s\n"
-           (section_name r.section) (json_escape r.name) (json_opt r.old_value)
-           (json_opt r.new_value) (json_opt r.delta_pct)
-           (verdict_name r.verdict) r.gated
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"regressions\": %d\n"
-       (List.length (List.filter row_fails rows)));
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  let row r =
+    Json.Obj
+      [
+        ("section", Json.Str (section_name r.section));
+        ("name", Json.Str r.name);
+        ("old", opt r.old_value);
+        ("new", opt r.new_value);
+        ("delta_pct", opt r.delta_pct);
+        ("verdict", Json.Str (verdict_name r.verdict));
+        ("gated", Json.Bool r.gated);
+      ]
+  in
+  Json.Obj
+    [
+      ("old", side old_report);
+      ("new", side new_report);
+      ( "config",
+        Json.Obj
+          [
+            ("kernel_threshold", Json.Num cfg.kernel_threshold);
+            ("time_threshold", Json.Num cfg.time_threshold);
+            ("gate_time", Json.Bool cfg.gate_time);
+          ] );
+      ("rows", Json.List (List.map row rows));
+      ( "regressions",
+        Json.Num (float_of_int (List.length (List.filter row_fails rows))) );
+    ]
 
 let pp_summary ppf rows =
   let count v = List.length (List.filter (fun r -> r.verdict = v) rows) in

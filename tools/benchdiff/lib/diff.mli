@@ -72,9 +72,9 @@ val to_markdown :
   config -> old_report:report -> new_report:report -> row list -> string
 
 val to_json :
-  config -> old_report:report -> new_report:report -> row list -> string
+  config -> old_report:report -> new_report:report -> row list -> Nf_util.Json.t
 (** Machine-readable rendering of the same rows, one top-level object with
-    [old]/[new]/[rows]/[regressions] fields. *)
+    [old]/[new]/[config]/[rows]/[regressions] fields. *)
 
 val pp_summary : Format.formatter -> row list -> unit
 (** One-paragraph console summary: counts by verdict plus every gated

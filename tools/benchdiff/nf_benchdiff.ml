@@ -84,7 +84,9 @@ let () =
   if !md_out <> "" then
     write !md_out (Diff.to_markdown cfg ~old_report ~new_report rows);
   if !json_out <> "" then
-    write !json_out (Diff.to_json cfg ~old_report ~new_report rows);
+    write !json_out
+      (Nf_util.Json.to_string (Diff.to_json cfg ~old_report ~new_report rows)
+      ^ "\n");
   let failed = Diff.has_regressions rows in
   if (not !quiet) || failed then
     Format.printf "%a@." Diff.pp_summary rows;

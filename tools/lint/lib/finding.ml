@@ -28,24 +28,16 @@ let to_string f =
    survives unrelated edits that shift code up or down a file. *)
 let baseline_key f = Printf.sprintf "%s [%s] %s" f.file f.rule f.msg
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json ~baseline_status f =
+  let module Json = Nf_util.Json in
+  Json.Obj
+    [
+      ("file", Json.Str f.file);
+      ("line", Json.Num (float_of_int f.line));
+      ("col", Json.Num (float_of_int f.col));
+      ("rule", Json.Str f.rule);
+      ("msg", Json.Str f.msg);
+      ("baseline", Json.Str baseline_status);
+    ]
 
-let to_json ~baseline_status f =
-  Printf.sprintf
-    "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"rule\":\"%s\",\"msg\":\"%s\",\"baseline\":\"%s\"}"
-    (json_escape f.file) f.line f.col (json_escape f.rule) (json_escape f.msg)
-    (json_escape baseline_status)
+let to_json ~baseline_status f = Nf_util.Json.to_string (json ~baseline_status f)

@@ -150,21 +150,21 @@ let () =
     in
     if !json <> "" then begin
       let oc = open_out !json in
-      let objects =
-        List.map (Finding.to_json ~baseline_status:"fresh") result.fresh
-        @ List.map
-            (Finding.to_json ~baseline_status:"baselined")
-            result.baselined
+      let module Json = Nf_util.Json in
+      let findings =
+        List.map (Finding.json ~baseline_status:"fresh") result.fresh
+        @ List.map (Finding.json ~baseline_status:"baselined") result.baselined
       in
-      output_string oc "{\"version\":1,\"findings\":[";
-      output_string oc (String.concat "," objects);
-      output_string oc "],\"stale_baseline\":[";
       output_string oc
-        (String.concat ","
-           (List.map
-              (fun e -> Printf.sprintf "\"%s\"" (Finding.json_escape e))
-              result.stale));
-      output_string oc "]}\n";
+        (Json.to_string
+           (Json.Obj
+              [
+                ("version", Json.Num 1.);
+                ("findings", Json.List findings);
+                ( "stale_baseline",
+                  Json.List (List.map (fun e -> Json.Str e) result.stale) );
+              ]));
+      output_char oc '\n';
       close_out oc
     end;
     List.iter (fun f -> print_endline (Finding.to_string f)) result.fresh;
