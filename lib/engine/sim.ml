@@ -5,9 +5,14 @@ module Fheap = Nf_util.Fheap
 
 type cat = Profile.cat
 
+(* An all-float record is stored flat: writing [now] stores the double
+   in place, where a [mutable clock : float] field of [t] would box a
+   fresh float on every event. *)
+type clock = { mutable now : float }
+
 type t = {
   queue : (unit -> unit) Fheap.t;
-  mutable clock : float;
+  clock : clock;
   mutable stopped : bool;
   mutable processed : int;
   mutable scheduled : int;
@@ -32,37 +37,53 @@ let noop () = ()
 let create () =
   {
     queue = Fheap.create ~capacity:64 ~dummy:noop ();
-    clock = 0.;
+    clock = { now = 0. };
     stopped = false;
     processed = 0;
     scheduled = 0;
   }
 
-let now t = t.clock
+let[@inline] now t = t.clock.now
 
 (* The heap-depth gauge is a diagnostic high-water mark; updating it per
    scheduled event costs an int->float conversion plus a compare even when
    nobody reads metrics, so it is sampled every 2^8 schedules instead. *)
 let depth_sample_mask = 0xFF
 
-let[@nf.hot] schedule_cat t ~cat ~at action =
-  if at < t.clock then
+(* Cold paths of the [@inline] schedulers, kept out of line so the
+   inlined bodies stay small. Both guards are written [not (x >= y)] so a
+   NaN time or delay is rejected too: Fheap keys must never be NaN. *)
+let[@inline never] bad_time t at =
+  if Float.is_nan at then
+    invalid_arg (Printf.sprintf "Sim.schedule: NaN event time (now=%g)" t.clock.now)
+  else
     invalid_arg
-      ((Printf.sprintf "Sim.schedule: event in the past (at=%g, now=%g)" at
-          t.clock) [@nf.allow "hot-alloc"]);
+      (Printf.sprintf "Sim.schedule: event in the past (at=%g, now=%g)" at
+         t.clock.now)
+
+let[@inline never] bad_delay delay =
+  if Float.is_nan delay then invalid_arg "Sim.schedule_after: NaN delay"
+  else invalid_arg "Sim.schedule_after: negative delay"
+
+let[@inline never] sample_depth t =
+  Metrics.max_gauge m_heap_depth (float_of_int (Fheap.length t.queue))
+
+(* [@inline]: callers compute [at]/[delay] as raw floats; an out-of-line
+   call would box them at the library boundary on every event. *)
+let[@nf.hot] [@inline] schedule_cat t ~cat ~at action =
+  if not (at >= t.clock.now) then bad_time t at;
   Fheap.push t.queue ~key:at ~aux:cat action;
   let s = t.scheduled + 1 in
   t.scheduled <- s;
-  if s land depth_sample_mask = 0 then
-    Metrics.max_gauge m_heap_depth (float_of_int (Fheap.length t.queue))
+  if s land depth_sample_mask = 0 then sample_depth t
 
-let[@nf.hot] schedule_after_cat t ~cat ~delay action =
-  if delay < 0. then invalid_arg "Sim.schedule_after: negative delay";
-  schedule_cat t ~cat ~at:(t.clock +. delay) action
+let[@nf.hot] [@inline] schedule_after_cat t ~cat ~delay action =
+  if not (delay >= 0.) then bad_delay delay;
+  schedule_cat t ~cat ~at:(t.clock.now +. delay) action
 
 let periodic_cat t ~cat ?start ~interval action =
-  if interval <= 0. then invalid_arg "Sim.periodic: interval must be positive";
-  let first = match start with Some s -> s | None -> t.clock +. interval in
+  if not (interval > 0.) then invalid_arg "Sim.periodic: interval must be positive";
+  let first = match start with Some s -> s | None -> t.clock.now +. interval in
   let rec fire () =
     action ();
     schedule_after_cat t ~cat ~delay:interval fire
@@ -87,20 +108,20 @@ let[@nf.hot] run_loop t horizon profiling gcing dispatched =
   let continue = ref true in
   while !continue && not t.stopped do
     if Fheap.is_empty q then begin
-      if Float.is_finite horizon then t.clock <- Float.max t.clock horizon;
+      if Float.is_finite horizon then t.clock.now <- Float.max t.clock.now horizon;
       continue := false
     end
     else begin
       let time = Fheap.top_key q in
       if time > horizon then begin
-        t.clock <- horizon;
+        t.clock.now <- horizon;
         continue := false
       end
       else begin
         let action = Fheap.top q in
         let c = Fheap.top_aux q in
         Fheap.drop q;
-        t.clock <- time;
+        t.clock.now <- time;
         incr dispatched;
         if profiling then
           if gcing then begin

@@ -6,11 +6,16 @@
     All of [nf_sim] runs on top of this.
 
     {b Hot path.} The event queue is a monomorphic structure-of-arrays
-    float-keyed heap ({!Nf_util.Fheap}): steady-state schedule/dispatch
-    allocates nothing beyond the handler closures the caller provides.
-    Per-packet schedulers should intern their category once ({!cat}) and
-    call the [_cat] variants — the [?cat:string] conveniences intern on
-    every call.
+    float-keyed heap ({!Nf_util.Fheap}) whose sifts move no pointers, and
+    the clock is a flat float cell, so steady-state schedule/dispatch
+    allocates nothing and pays no write barrier beyond storing the
+    handler the caller provides. Handlers on per-packet paths should be
+    preallocated (built once per link or per flow), not a fresh closure
+    per event. {!schedule_cat}, {!schedule_after_cat} and {!now} are
+    [[\@inline]] so the times they take and return stay unboxed in the
+    caller; their error paths are out of line. Per-packet schedulers
+    should intern their category once ({!cat}) and call the [_cat]
+    variants — the [?cat:string] conveniences intern on every call.
 
     {b Observability.} Every event carries a scheduling category
     (default ["event"]); when {!Nf_util.Profile.enabled}, the event loop
@@ -41,12 +46,12 @@ val now : t -> float
 val schedule_cat : t -> cat:cat -> at:float -> (unit -> unit) -> unit
 (** Allocation-free scheduling primitive.
     @raise Invalid_argument if [at] is in the past (the message carries
-    both the requested time and the current clock). *)
+    both the requested time and the current clock) or NaN. *)
 
 val schedule_after_cat : t -> cat:cat -> delay:float -> (unit -> unit) -> unit
 (** [schedule_after_cat t ~cat ~delay f] =
-    [schedule_cat t ~cat ~at:(now t +. delay) f]; [delay] must be
-    non-negative. *)
+    [schedule_cat t ~cat ~at:(now t +. delay) f].
+    @raise Invalid_argument if [delay] is negative or NaN. *)
 
 val periodic_cat :
   t -> cat:cat -> ?start:float -> interval:float -> (unit -> unit) -> unit

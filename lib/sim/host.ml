@@ -1,12 +1,18 @@
 module Ewma = Nf_util.Ewma
+module Sim = Nf_engine.Sim
 
 type ctx = {
-  now : unit -> float;
-  after : float -> (unit -> unit) -> unit;
+  sim : Sim.t;
   transmit : Packet.t -> unit;
   complete : int -> unit;
   cfg : Config.t;
 }
+
+(* Interned once: sender timers (pacing gaps, the RTO) run per packet. *)
+let cat_host = Sim.cat "host"
+
+let[@inline] after ctx delay f =
+  Sim.schedule_after_cat ctx.sim ~cat:cat_host ~delay f
 
 let mss = Packet.data_size
 
@@ -16,6 +22,13 @@ let mss_f = float_of_int mss
 (* Generic sender: sequencing, selective repeat, in-flight accounting and
    the window / pacing send loops. Everything protocol-specific lives in
    the flow handle the protocol module built for this flow. *)
+
+(* The sender's mutable floats, all-float so their per-packet writes
+   store in place (as mutable fields of [sender] each write would box). *)
+type sender_floats = {
+  mutable inflight : float;  (* bytes *)
+  mutable last_progress : float;
+}
 
 type sender = {
   flow : int;
@@ -28,11 +41,10 @@ type sender = {
   resend : int Queue.t;
   mutable next_unsent : int;
   mutable acked_count : int;
-  mutable inflight : float;  (* bytes *)
+  sf : sender_floats;
   mutable started : bool;
   mutable stopped : bool;
   mutable is_complete : bool;
-  mutable last_progress : float;
   mutable rto_running : bool;
   mutable pace_active : bool;  (* pacing chain scheduled *)
 }
@@ -79,19 +91,17 @@ let make_sender ctx ~flow ~path ~size ~d0 ~line_rate ~protocol ~utility =
       resend = Queue.create ();
       next_unsent = 0;
       acked_count = 0;
-      inflight = 0.;
+      sf = { inflight = 0.; last_progress = 0. };
       started = false;
       stopped = false;
       is_complete = false;
-      last_progress = 0.;
       rto_running = false;
       pace_active = false;
     }
   in
   let env =
     {
-      Protocol.env_now = ctx.now;
-      env_after = ctx.after;
+      Protocol.env_sim = ctx.sim;
       env_cfg = ctx.cfg;
       env_flow = flow;
       env_size = size;
@@ -108,49 +118,51 @@ let make_sender ctx ~flow ~path ~size ~d0 ~line_rate ~protocol ~utility =
 (* --------------------------------------------------------------------- *)
 (* Sending machinery *)
 
+(* The next sequence number to send, or -1 if there is none (a sentinel,
+   not an option: this runs once per packet). *)
 let next_seq s =
-  match Queue.take_opt s.resend with
-  | Some seq -> Some seq
-  | None ->
-    if persistent s || s.next_unsent < s.n_packets then begin
-      let seq = s.next_unsent in
-      s.next_unsent <- seq + 1;
-      Some seq
-    end
-    else None
+  if not (Queue.is_empty s.resend) then Queue.take s.resend
+  else if persistent s || s.next_unsent < s.n_packets then begin
+    let seq = s.next_unsent in
+    s.next_unsent <- seq + 1;
+    seq
+  end
+  else -1
 
 let has_next s =
   (not (Queue.is_empty s.resend)) || persistent s || s.next_unsent < s.n_packets
 
 let send_one ctx s seq =
   let pkt =
-    Packet.make_data ~flow:s.flow ~seq ~size:mss ~path:s.path ~now:(ctx.now ())
+    Packet.make_data ~flow:s.flow ~seq ~size:mss ~path:s.path
+      ~now:(Sim.now ctx.sim)
   in
   s.handle.Protocol.fh_on_send pkt;
-  s.inflight <- s.inflight +. mss_f;
+  s.sf.inflight <- s.sf.inflight +. mss_f;
   if not (persistent s) then Hashtbl.replace s.inflight_seqs seq ();
   ctx.transmit pkt
 
 let rec try_send_window ctx s window =
-  if active s && s.inflight < window () && has_next s then begin
-    match next_seq s with
-    | None -> ()
-    | Some seq ->
+  if active s && s.sf.inflight < window () && has_next s then begin
+    let seq = next_seq s in
+    if seq >= 0 then begin
       send_one ctx s seq;
       try_send_window ctx s window
+    end
   end
 
 let rec pace_loop ctx s ~rate ~cap =
-  if active s && s.inflight < cap && has_next s then begin
-    match next_seq s with
-    | None -> s.pace_active <- false
-    | Some seq ->
+  if active s && s.sf.inflight < cap && has_next s then begin
+    let seq = next_seq s in
+    if seq < 0 then s.pace_active <- false
+    else begin
       send_one ctx s seq;
       (* Cap the inter-packet gap: a sender whose advertised rate has
          collapsed must keep probing, or it would never see the feedback
          that lets it recover (rate-based senders deadlock otherwise). *)
       let gap = Float.min (mss_f *. 8. /. Float.max (rate ()) 1e3) 200e-6 in
-      ctx.after gap (fun () -> pace_loop ctx s ~rate ~cap)
+      after ctx gap (fun () -> pace_loop ctx s ~rate ~cap)
+    end
   end
   else s.pace_active <- false
 
@@ -170,31 +182,32 @@ let wakeup ctx s =
 let rec rto_check ctx s =
   if active s then begin
     let rto = s.handle.Protocol.fh_rto in
-    if s.inflight > 0. && ctx.now () -. s.last_progress >= rto then begin
-      if persistent s then s.inflight <- 0.
+    if s.sf.inflight > 0. && Sim.now ctx.sim -. s.sf.last_progress >= rto
+    then begin
+      if persistent s then s.sf.inflight <- 0.
       else begin
         let seqs =
           List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) s.inflight_seqs [])
         in
         Hashtbl.reset s.inflight_seqs;
         List.iter (fun seq -> Queue.add seq s.resend) seqs;
-        s.inflight <- 0.
+        s.sf.inflight <- 0.
       end;
-      s.last_progress <- ctx.now ();
+      s.sf.last_progress <- Sim.now ctx.sim;
       wakeup ctx s
     end;
-    ctx.after rto (fun () -> rto_check ctx s)
+    after ctx rto (fun () -> rto_check ctx s)
   end
   else s.rto_running <- false
 
 let start ctx s =
   if not s.started then begin
     s.started <- true;
-    s.last_progress <- ctx.now ();
+    s.sf.last_progress <- Sim.now ctx.sim;
     wakeup ctx s;
     if not s.rto_running then begin
       s.rto_running <- true;
-      ctx.after s.handle.Protocol.fh_rto (fun () -> rto_check ctx s)
+      after ctx s.handle.Protocol.fh_rto (fun () -> rto_check ctx s)
     end
   end
 
@@ -217,8 +230,8 @@ let register_ack ctx s seq =
   in
   if fresh then begin
     s.acked_count <- s.acked_count + 1;
-    s.inflight <- Float.max 0. (s.inflight -. mss_f);
-    s.last_progress <- ctx.now ();
+    s.sf.inflight <- Float.max 0. (s.sf.inflight -. mss_f);
+    s.sf.last_progress <- Sim.now ctx.sim;
     if (not (persistent s)) && s.acked_count >= s.n_packets && not s.is_complete
     then begin
       s.is_complete <- true;
@@ -239,10 +252,15 @@ let handle_ack ctx s (pkt : Packet.t) =
 (* --------------------------------------------------------------------- *)
 (* Receiver *)
 
-type receiver = {
-  rpath : int array;
+(* All-float for the same reason as [sender_floats]: written per packet. *)
+type receiver_floats = {
   mutable last_arrival : float;
   mutable recv_bytes : float;
+}
+
+type receiver = {
+  rpath : int array;
+  rf : receiver_floats;
   r_filter : Ewma.timed;
   r_sink : (time:float -> float -> unit) option;
 }
@@ -250,21 +268,21 @@ type receiver = {
 let make_receiver ctx ~flow:_ ~rpath ~sink =
   {
     rpath;
-    last_arrival = Float.nan;
-    recv_bytes = 0.;
+    rf = { last_arrival = Float.nan; recv_bytes = 0. };
     r_filter = Ewma.timed ~tau:ctx.cfg.Config.rate_measure_tau;
     r_sink = sink;
   }
 
 let handle_data ctx r (pkt : Packet.t) =
-  let now = ctx.now () in
-  r.recv_bytes <- r.recv_bytes +. float_of_int pkt.Packet.size;
+  let now = Sim.now ctx.sim in
+  let rf = r.rf in
+  rf.recv_bytes <- rf.recv_bytes +. float_of_int pkt.Packet.size;
   let ipt =
-    if Nf_util.Fcmp.is_finite r.last_arrival then now -. r.last_arrival
+    if Float.is_finite rf.last_arrival then now -. rf.last_arrival
     else Float.nan
   in
-  r.last_arrival <- now;
-  if Nf_util.Fcmp.is_finite ipt && ipt > 0. then begin
+  rf.last_arrival <- now;
+  if Float.is_finite ipt && ipt > 0. then begin
     let sample = float_of_int pkt.Packet.size *. 8. /. ipt in
     Ewma.timed_update r.r_filter ~now sample;
     match r.r_sink with
@@ -282,6 +300,6 @@ let window s = s.handle.Protocol.fh_window ()
 
 let rate_estimate s = s.handle.Protocol.fh_rate_estimate ()
 
-let received_bytes r = r.recv_bytes
+let received_bytes r = r.rf.recv_bytes
 
 let measured_rate r = Ewma.timed_value r.r_filter

@@ -19,8 +19,9 @@
     timer. *)
 
 type ctx = {
-  now : unit -> float;
-  after : float -> (unit -> unit) -> unit;  (** schedule relative event *)
+  sim : Nf_engine.Sim.t;
+      (** the clock ([Nf_engine.Sim.now], unboxed) and the event queue the
+          sender's timers go on, under the ["host"] category *)
   transmit : Packet.t -> unit;  (** inject a packet at its first link *)
   complete : int -> unit;  (** called once when a finite flow finishes *)
   cfg : Config.t;

@@ -70,8 +70,6 @@ let cat_link_tx = Sim.cat "link-tx"
 
 let cat_pkt_arrive = Sim.cat "pkt-arrive"
 
-let cat_host = Sim.cat "host"
-
 let cat_price_update = Sim.cat "price-update"
 
 let cat_flow_start = Sim.cat "flow-start"
@@ -80,16 +78,31 @@ let cat_flow_stop = Sim.cat "flow-stop"
 
 let cat_monitor = Sim.cat "monitor"
 
+(* Written per transmitted packet: all-float so the write stores in
+   place instead of boxing. *)
+type link_floats = { mutable delivered : float  (* bytes dequeued *) }
+
+(* Packets on a link arrive at its far end in the order they were sent:
+   the next transmission starts only once the previous one has finished,
+   and every packet then takes the same propagation delay. So the packets
+   on the wire are a FIFO — a ring [wire] of [wire_len] packets starting
+   at [wire_head], its capacity a power of two — and one preallocated
+   arrival handler per link pops the head, instead of a fresh closure
+   per hop. Each arrival is still scheduled at exactly its own time. *)
 type link_state = {
   link : Topology.link;
   qdisc : Queue_disc.t;
   engine : Price_engine.t;
   byte_time : float;  (* seconds to serialize one byte *)
   mutable busy : bool;
-  mutable delivered : float;  (* bytes dequeued *)
+  lf : link_floats;
+  mutable wire : Packet.t array;
+  mutable wire_head : int;
+  mutable wire_len : int;
   mutable tx_done : unit -> unit;
       (* preallocated "transmission finished" handler, built once the
          network exists, so the per-packet path schedules it for free *)
+  mutable on_arrive : unit -> unit;  (* likewise: the wire head arrives *)
 }
 
 type t = {
@@ -100,6 +113,10 @@ type t = {
   links : link_state array;
   senders : (int, Host.sender) Hashtbl.t;
   receivers : (int, Host.receiver) Hashtbl.t;
+  mutable sender_of : Host.sender option array;
+  mutable receiver_of : Host.receiver option array;
+      (* the endpoints again, indexed by flow id, for the per-packet
+         delivery path; the tables above serve the cold queries *)
   paths : (int, int array) Hashtbl.t;
   rtts : (int, float) Hashtbl.t;
   starts : (int, float) Hashtbl.t;
@@ -119,6 +136,32 @@ let trace t = t.trace
 (* ------------------------------------------------------------------ *)
 (* Link transmission machinery *)
 
+let wire_push ls pkt =
+  let cap = Array.length ls.wire in
+  if ls.wire_len = cap then begin
+    (* Full: unroll into a ring twice the size. *)
+    let grown = Array.make (2 * cap) Packet.dummy in
+    for i = 0 to cap - 1 do
+      grown.(i) <- ls.wire.((ls.wire_head + i) land (cap - 1))
+    done;
+    ls.wire <- grown;
+    ls.wire_head <- 0
+  end;
+  let w = ls.wire in
+  w.((ls.wire_head + ls.wire_len) land (Array.length w - 1)) <- pkt;
+  ls.wire_len <- ls.wire_len + 1
+
+let wire_pop ls =
+  let w = ls.wire and h = ls.wire_head in
+  let pkt = w.(h) in
+  w.(h) <- Packet.dummy;
+  ls.wire_head <- (h + 1) land (Array.length w - 1);
+  ls.wire_len <- ls.wire_len - 1;
+  pkt
+
+let[@inline] endpoint table id =
+  if id >= 0 && id < Array.length table then table.(id) else None
+
 let rec try_transmit t ls =
   (* [packet_count] then [dequeue_exn] rather than [dequeue]: the option
      wrapper would allocate once per transmitted packet. *)
@@ -126,7 +169,7 @@ let rec try_transmit t ls =
     let pkt = ls.qdisc.Queue_disc.dequeue_exn () in
     ls.engine.Price_engine.on_dequeue pkt;
       ls.busy <- true;
-      ls.delivered <- ls.delivered +. float_of_int pkt.Packet.size;
+      ls.lf.delivered <- ls.lf.delivered +. float_of_int pkt.Packet.size;
       if Trace.on t.trace Trace.Dequeue then
         Trace.emit t.trace Trace.Dequeue ~subject:ls.link.Topology.link_id
           ~time:(Sim.now t.sim)
@@ -134,8 +177,9 @@ let rec try_transmit t ls =
           (float_of_int pkt.Packet.size);
       let tx = float_of_int pkt.Packet.size *. ls.byte_time in
       Sim.schedule_after_cat t.sim ~cat:cat_link_tx ~delay:tx ls.tx_done;
+      wire_push ls pkt;
       Sim.schedule_after_cat t.sim ~cat:cat_pkt_arrive
-        ~delay:(tx +. ls.link.Topology.delay) (fun () -> arrive t pkt)
+        ~delay:(tx +. ls.link.Topology.delay) ls.on_arrive
   end
 
 and forward t pkt link_id =
@@ -179,11 +223,11 @@ and arrive t pkt =
         (float_of_int pkt.Packet.seq);
     match pkt.Packet.kind with
     | Packet.Data -> (
-      match Hashtbl.find_opt t.receivers pkt.Packet.flow with
+      match endpoint t.receiver_of pkt.Packet.flow with
       | Some r -> Host.handle_data t.ctx r pkt
       | None -> ())
     | Packet.Ack -> (
-      match Hashtbl.find_opt t.senders pkt.Packet.flow with
+      match endpoint t.sender_of pkt.Packet.flow with
       | Some s -> Host.handle_ack t.ctx s pkt
       | None -> ())
   end
@@ -222,8 +266,12 @@ let create ?(config = Config.default) ?record ?trace ~topology ~protocol () =
           engine = lh.Protocol.lh_engine;
           byte_time = 8. /. link.Topology.capacity;
           busy = false;
-          delivered = 0.;
-          tx_done = (fun () -> ());
+          lf = { delivered = 0. };
+          wire = Array.make 16 Packet.dummy;
+          wire_head = 0;
+          wire_len = 0;
+          tx_done = ignore;
+          on_arrive = ignore;
         })
       (Topology.links topology)
   in
@@ -236,6 +284,8 @@ let create ?(config = Config.default) ?record ?trace ~topology ~protocol () =
       links;
       senders = Hashtbl.create 256;
       receivers = Hashtbl.create 256;
+      sender_of = [||];
+      receiver_of = [||];
       paths = Hashtbl.create 256;
       rtts = Hashtbl.create 256;
       starts = Hashtbl.create 256;
@@ -243,9 +293,7 @@ let create ?(config = Config.default) ?record ?trace ~topology ~protocol () =
       trace;
       ctx =
         {
-          Host.now = (fun () -> Sim.now sim);
-          after =
-            (fun delay f -> Sim.schedule_after_cat sim ~cat:cat_host ~delay f);
+          Host.sim;
           transmit = (fun pkt -> transmit t pkt);
           complete =
             (fun flow_id ->
@@ -270,7 +318,8 @@ let create ?(config = Config.default) ?record ?trace ~topology ~protocol () =
       ls.tx_done <-
         (fun () ->
           ls.busy <- false;
-          try_transmit t ls))
+          try_transmit t ls);
+      ls.on_arrive <- (fun () -> arrive t (wire_pop ls)))
     links;
   (* Synchronized periodic feedback updates on every link (§5: PTP). *)
   (match P.update_interval config with
@@ -313,7 +362,20 @@ let reverse_path t fwd =
   done;
   rev
 
+(* [table] with room for index [id], grown geometrically. *)
+let with_room table id =
+  let n = Array.length table in
+  if id < n then table
+  else begin
+    let grown = Array.make (Stdlib.max (id + 1) (2 * n)) None in
+    Array.blit table 0 grown 0 n;
+    grown
+  end
+
 let add_flow t spec =
+  if spec.fs_id < 0 then
+    invalid_arg
+      (Printf.sprintf "Network.add_flow: negative flow id %d" spec.fs_id);
   if Hashtbl.mem t.senders spec.fs_id then
     invalid_arg "Network.add_flow: duplicate flow id";
   (match
@@ -355,6 +417,10 @@ let add_flow t spec =
   let receiver = Host.make_receiver t.ctx ~flow:spec.fs_id ~rpath ~sink in
   Hashtbl.replace t.senders spec.fs_id sender;
   Hashtbl.replace t.receivers spec.fs_id receiver;
+  t.sender_of <- with_room t.sender_of spec.fs_id;
+  t.sender_of.(spec.fs_id) <- Some sender;
+  t.receiver_of <- with_room t.receiver_of spec.fs_id;
+  t.receiver_of.(spec.fs_id) <- Some receiver;
   Hashtbl.replace t.paths spec.fs_id path;
   Hashtbl.replace t.rtts spec.fs_id d0;
   Hashtbl.replace t.starts spec.fs_id spec.fs_start;
@@ -409,7 +475,7 @@ let total_drops t =
 
 let link_price t ~link = t.links.(link).engine.Price_engine.value ()
 
-let link_delivered_bytes t ~link = t.links.(link).delivered
+let link_delivered_bytes t ~link = t.links.(link).lf.delivered
 
 let monitor_links t ~links ~every =
   List.iter

@@ -74,9 +74,11 @@ val trace : t -> Nf_util.Trace.t
 val add_flow : t -> flow_spec -> unit
 (** Registers the flow and schedules its start. Must be called before the
     simulation clock passes [fs_start].
-    @raise Invalid_argument on duplicate ids, non-host endpoints, an
-    invalid pinned path, or a spec the protocol rejects (e.g. a missing
-    utility). *)
+    Flow ids must be non-negative: delivered packets find their endpoints
+    in arrays indexed by id.
+    @raise Invalid_argument on negative or duplicate ids, non-host
+    endpoints, an invalid pinned path, or a spec the protocol rejects
+    (e.g. a missing utility). *)
 
 val stop_flow_at : t -> id:int -> float -> unit
 (** Schedule a (persistent) flow to stop sending at the given time. *)

@@ -26,7 +26,7 @@ let data_size = 1500
 
 let ack_size = 40
 
-let make_data ~flow ~seq ~size ~path ~now =
+let[@inline] make_data ~flow ~seq ~size ~path ~now =
   {
     flow;
     seq;
@@ -49,7 +49,7 @@ let make_data ~flow ~seq ~size ~path ~now =
     ack_ecn = false;
   }
 
-let make_ack ~data ~path ~now =
+let[@inline] make_ack ~data ~path ~now =
   {
     flow = data.flow;
     seq = data.seq;
@@ -74,3 +74,5 @@ let make_ack ~data ~path ~now =
   }
 
 let is_data p = p.kind = Data
+
+let dummy = make_data ~flow:(-1) ~seq:(-1) ~size:0 ~path:[||] ~now:0.

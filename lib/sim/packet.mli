@@ -8,7 +8,16 @@
     ([rcp_sum], [ecn]). pFabric carries a [priority] (remaining flow
     size). Unused fields are simply ignored by the other protocols — in a
     real implementation these would be distinct header formats of equal
-    total size. *)
+    total size.
+
+    {b Hot path.} A packet is the one allocation the per-hop path is
+    meant to make. The float fields are mutable fields of a record that
+    also holds ints and pointers, so each write to one of them ([path_price]
+    at every xWI dequeue, the host's stamps) still boxes a fresh float;
+    moving them into an all-float sub-record would remove that (about 12 B
+    per simulator event) — see DESIGN.md, Performance, for why they have
+    not moved yet. {!make_data} and {!make_ack} are [[\@inline]] so the
+    [now] they take stays unboxed in the caller. *)
 
 type kind = Data | Ack
 
@@ -51,3 +60,7 @@ val make_ack : data:t -> path:int array -> now:float -> t
     afterwards if an inter-packet time is available. *)
 
 val is_data : t -> bool
+
+val dummy : t
+(** A placeholder (flow -1, size 0) for empty slots in packet arrays;
+    never sent. *)

@@ -15,18 +15,23 @@ let none =
     value = (fun () -> 0.);
   }
 
+(* The xWI engine's float state. All-float, so stored flat: the
+   per-packet [min_res] write and the per-update [price] write store in
+   place, where a [float ref] would box a fresh float on every write. *)
+type xwi_state = { mutable price : float; mutable min_res : float }
+
 (* The NUMFabric switch, a faithful transcription of Fig. 3. *)
 let xwi ?(eta = 5.) ?(beta = 0.5) ?(interval = 30e-6) ~capacity () =
-  let price = ref 0. in
-  let min_res = ref infinity in
+  let st = { price = 0.; min_res = infinity } in
   let bytes_serviced = ref 0 in
   let on_enqueue p =
-    if Packet.is_data p && Nf_util.Fcmp.is_finite p.Packet.normalized_residual
-    then min_res := Float.min !min_res p.Packet.normalized_residual
+    let r = p.Packet.normalized_residual in
+    if Packet.is_data p && Nf_util.Fcmp.is_finite r then
+      st.min_res <- Float.min st.min_res r
   in
   let on_dequeue p =
     bytes_serviced := !bytes_serviced + p.Packet.size;
-    p.Packet.path_price <- p.Packet.path_price +. !price;
+    p.Packet.path_price <- p.Packet.path_price +. st.price;
     p.Packet.path_len <- p.Packet.path_len + 1
   in
   let update () =
@@ -34,15 +39,16 @@ let xwi ?(eta = 5.) ?(beta = 0.5) ?(interval = 30e-6) ~capacity () =
       Nf_util.Fcmp.clamp ~lo:0. ~hi:1.
         (float_of_int !bytes_serviced *. 8. /. (interval *. capacity))
     in
-    let residual = if Float.is_finite !min_res then !min_res else 0. in
+    let residual = if Float.is_finite st.min_res then st.min_res else 0. in
+    let price = st.price in
     let new_price =
-      Float.max 0. (!price +. residual -. (eta *. (1. -. u) *. !price))
+      Float.max 0. (price +. residual -. (eta *. (1. -. u) *. price))
     in
-    price := (beta *. !price) +. ((1. -. beta) *. new_price);
+    st.price <- (beta *. price) +. ((1. -. beta) *. new_price);
     bytes_serviced := 0;
-    min_res := infinity
+    st.min_res <- infinity
   in
-  { on_enqueue; on_dequeue; update; interval; value = (fun () -> !price) }
+  { on_enqueue; on_dequeue; update; interval; value = (fun () -> st.price) }
 
 (* DGD per Eq. 14: p <- [p + a (y - C) + b q]+ . *)
 let dgd ?(gain_util = 0.3) ?(gain_queue = 0.15) ?(interval = 16e-6) ~capacity

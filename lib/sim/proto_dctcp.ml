@@ -53,7 +53,8 @@ let protocol : Protocol.t =
           if pkt.Packet.ack_ecn then st.slow_start <- false
         end;
         (* Window update once per baseline RTT, as in the DCTCP paper. *)
-        if env.Protocol.env_now () >= st.next_update && st.total > 0 then begin
+        let now = Nf_engine.Sim.now env.Protocol.env_sim in
+        if now >= st.next_update && st.total > 0 then begin
           let frac = float_of_int st.marked /. float_of_int st.total in
           st.alpha <- ((1. -. g) *. st.alpha) +. (g *. frac);
           if st.marked > 0 then
@@ -61,7 +62,7 @@ let protocol : Protocol.t =
           else if not st.slow_start then st.cwnd <- st.cwnd +. mss_f;
           st.marked <- 0;
           st.total <- 0;
-          st.next_update <- env.Protocol.env_now () +. env.Protocol.env_d0
+          st.next_update <- now +. env.Protocol.env_d0
         end
       in
       {

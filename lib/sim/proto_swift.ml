@@ -9,20 +9,26 @@ module Ewma = Nf_util.Ewma
 
 let mss_f = float_of_int Packet.data_size
 
+(* The per-ACK float state, all-float so its writes store in place (as
+   mutable fields of [state] each write would box). [window] stays in
+   [state]: the generic layer reads it through the [Windowed] closure,
+   which would box a flat field on every call, and it is read more often
+   than written. *)
+type floats = { mutable weight : float; mutable price : float }
+
 type state = {
   mutable utility : Utility.t;
   srpt_eps : float option;
     (* when set, the utility tracks the remaining size (SRPT, §2) *)
   rate : Ewma.timed;  (* R-hat *)
-  mutable weight : float;
+  fl : floats;
   mutable window : float;  (* bytes *)
-  mutable price : float;
   mutable path_len : int;
 }
 
 (* §8 extension: model switches that only support a small set of weight
    classes by rounding the weight to the nearest power of [base]. *)
-let quantize_weight (swc : Config.swift) w =
+let[@inline] quantize_weight (swc : Config.swift) w =
   match swc.Config.weight_quant_base with
   | None -> w
   | Some base when base > 1. -> base ** Float.round (log w /. log base)
@@ -75,25 +81,26 @@ let make ~srpt ~name ~description : Protocol.t =
           (* Before any price feedback, a weight on the scale of the line
              rate keeps virtual packet lengths commensurate with later
              (rate-scaled) weights. *)
-          weight = env.Protocol.env_line_rate;
+          fl = { weight = env.Protocol.env_line_rate; price = 0. };
           window = float_of_int swc.Config.init_burst *. mss_f;
-          price = 0.;
           path_len = env.Protocol.env_path_hops;
         }
       in
+      (* [deriv_fast] / [rate_from_price_fast] are bit-identical to the
+         utility's closures and keep the floats unboxed. *)
       let on_send (pkt : Packet.t) =
         pkt.Packet.virtual_packet_len <-
-          mss_f /. Float.max (quantize_weight swc st.weight) 1e-30;
-        match Ewma.timed_value st.rate with
-        | Some r when st.path_len > 0 ->
-          pkt.Packet.normalized_residual <-
-            (st.utility.Utility.deriv (Float.max r 1.) -. st.price)
-            /. float_of_int st.path_len
-        | Some _ | None -> pkt.Packet.normalized_residual <- Float.nan
+          mss_f /. Float.max (quantize_weight swc st.fl.weight) 1e-30;
+        let r = Ewma.timed_value_nan st.rate in
+        pkt.Packet.normalized_residual <-
+          (if Float.is_nan r || st.path_len <= 0 then Float.nan
+           else
+             (Utility.deriv_fast st.utility (Float.max r 1.) -. st.fl.price)
+             /. float_of_int st.path_len)
       in
       let on_ack (pkt : Packet.t) =
         if pkt.Packet.ack_path_len > 0 then begin
-          st.price <- pkt.Packet.ack_path_price;
+          st.fl.price <- pkt.Packet.ack_path_price;
           st.path_len <- pkt.Packet.ack_path_len
         end;
         (match st.srpt_eps with
@@ -101,14 +108,17 @@ let make ~srpt ~name ~description : Protocol.t =
           st.utility <-
             Utility.fct_remaining ~remaining:(env.Protocol.env_remaining ()) ~eps
         | None -> ());
-        st.weight <-
-          Utility.rate_from_price st.utility
-            (Float.max st.price Utility.min_price);
-        if Nf_util.Fcmp.is_finite pkt.Packet.ack_ipt && pkt.Packet.ack_ipt > 0.
-        then begin
-          let sample = mss_f *. 8. /. pkt.Packet.ack_ipt in
-          Ewma.timed_update st.rate ~now:(env.Protocol.env_now ()) sample;
-          let r = Ewma.timed_value_exn st.rate in
+        st.fl.weight <-
+          Utility.rate_from_price_fast st.utility
+            (Float.max st.fl.price Utility.min_price);
+        let ipt = pkt.Packet.ack_ipt in
+        if Float.is_finite ipt && ipt > 0. then begin
+          let sample = mss_f *. 8. /. ipt in
+          Ewma.timed_update st.rate
+            ~now:(Nf_engine.Sim.now env.Protocol.env_sim)
+            sample;
+          (* Set: the sample just blended in is finite. *)
+          let r = Ewma.timed_value_nan st.rate in
           let w =
             r *. (env.Protocol.env_d0 +. swc.Config.dt_slack) /. 8.
           in

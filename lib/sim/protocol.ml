@@ -1,6 +1,5 @@
 type flow_env = {
-  env_now : unit -> float;
-  env_after : float -> (unit -> unit) -> unit;
+  env_sim : Nf_engine.Sim.t;
   env_cfg : Config.t;
   env_flow : int;
   env_size : float;

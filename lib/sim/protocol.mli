@@ -18,8 +18,10 @@
 
 (** What a protocol's flow can query from the generic sender machinery. *)
 type flow_env = {
-  env_now : unit -> float;
-  env_after : float -> (unit -> unit) -> unit;
+  env_sim : Nf_engine.Sim.t;
+      (** the simulator: read the clock with [Nf_engine.Sim.now], which
+          stays unboxed (a [unit -> float] closure would box every
+          reading), and schedule protocol timers on it *)
   env_cfg : Config.t;
   env_flow : int;  (** flow id *)
   env_size : float;  (** bytes; [infinity] = persistent *)

@@ -62,12 +62,9 @@ let ecn_fifo ?(limit_bytes = default_limit_bytes) ~mark_threshold_bytes () =
    and the heap's internal sequence number provides the FIFO tie-break
    the old [order] field implemented. *)
 
-let stfq_dummy =
-  Packet.make_data ~flow:(-1) ~seq:(-1) ~size:0 ~path:[||] ~now:0.
-
 let stfq ?(limit_bytes = default_limit_bytes) () =
   let heap : Packet.t Nf_util.Fheap.t =
-    Nf_util.Fheap.create ~capacity:64 ~dummy:stfq_dummy ()
+    Nf_util.Fheap.create ~capacity:64 ~dummy:Packet.dummy ()
   in
   (* Finish tags live in a flat float array indexed by flow id (grown
      geometrically on demand): unlike a [(int, float) Hashtbl.t], reading

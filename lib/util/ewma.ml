@@ -16,32 +16,38 @@ let gain_value_exn f =
   | Some v -> v
   | None -> invalid_arg "Ewma.gain_value_exn: no samples yet"
 
-type timed = { tau : float; mutable tv : float option; mutable last : float }
+(* All-float, so stored flat: updates write doubles in place instead of
+   boxing a [Some v] per sample. [tv] is NaN until the first sample. *)
+type timed = { tau : float; mutable tv : float; mutable last : float }
 
 let timed ~tau =
   if not (tau > 0.) then invalid_arg "Ewma.timed: tau must be positive";
-  { tau; tv = None; last = neg_infinity }
+  { tau; tv = Float.nan; last = neg_infinity }
 
-let timed_update f ~now sample =
-  match f.tv with
-  | None ->
-    f.tv <- Some sample;
+let[@inline] timed_update f ~now sample =
+  if Float.is_nan sample then ()
+  else if Float.is_nan f.tv then begin
+    f.tv <- sample;
     f.last <- now
-  | Some v ->
+  end
+  else begin
+    let v = f.tv in
     let dt = Float.max 0. (now -. f.last) in
     let w = 1. -. exp (-.dt /. f.tau) in
-    f.tv <- Some (((1. -. w) *. v) +. (w *. sample));
+    f.tv <- ((1. -. w) *. v) +. (w *. sample);
     f.last <- Float.max now f.last
+  end
 
-let timed_value f = f.tv
+let timed_value f = if Float.is_nan f.tv then None else Some f.tv
+
+let[@inline] timed_value_nan f = f.tv
 
 let timed_value_exn f =
-  match f.tv with
-  | Some v -> v
-  | None -> invalid_arg "Ewma.timed_value_exn: no samples yet"
+  if Float.is_nan f.tv then invalid_arg "Ewma.timed_value_exn: no samples yet"
+  else f.tv
 
 let timed_reset f =
-  f.tv <- None;
+  f.tv <- Float.nan;
   f.last <- neg_infinity
 
 let rise_time_90 ~tau = log 10. *. tau

@@ -25,6 +25,8 @@ val gain_value : gain -> float option
 val gain_value_exn : gain -> float
 
 type timed
+(** All-float, so updates allocate nothing; NaN is the "no sample yet"
+    state. *)
 
 val timed : tau:float -> timed
 (** [timed ~tau] with [tau > 0] (seconds). Starts unset. *)
@@ -32,9 +34,14 @@ val timed : tau:float -> timed
 val timed_update : timed -> now:float -> float -> unit
 (** [timed_update f ~now sample] blends [sample] in with weight
     [1 - exp (-(now - t_prev) / tau)]. Out-of-order samples ([now] earlier
-    than the previous update) are treated as [dt = 0] (ignored). *)
+    than the previous update) are treated as [dt = 0] (ignored). A NaN
+    sample is not a sample: the filter is left unchanged. *)
 
 val timed_value : timed -> float option
+
+val timed_value_nan : timed -> float
+(** The current value, or NaN before the first sample. Allocates
+    nothing, unlike {!timed_value}'s [Some]. *)
 
 val timed_value_exn : timed -> float
 

@@ -4,10 +4,16 @@
     simulator: the discrete-event queue ([Nf_engine.Sim], keyed by event
     time) and the STFQ switch queues ([Nf_sim.Queue_disc], keyed by
     virtual start tag). Compared with the generic {!Heap} it stores keys
-    in an unboxed [float array] (plus parallel [int]/payload arrays)
-    instead of boxed records, compares with raw [<] on floats instead of
-    a [cmp] closure, and exposes field readers ([top_key], [top], …) so
+    in an unboxed [float array] (plus parallel [int] arrays) instead of
+    boxed records, compares with raw [<] on floats instead of a [cmp]
+    closure, and exposes field readers ([top_key], [top], …) so
     steady-state push/peek/pop allocates nothing (no [Some], no record).
+
+    {b Stationary payloads.} Sifts move only the unboxed arrays — keys,
+    sequence numbers, [aux] and an [int] slot index. Payloads stay where
+    [push] put them, in a slot-indexed array with a free-slot stack, so
+    [push] writes one pointer, [drop] clears one, and no sift level pays
+    the [caml_modify] write barrier.
 
     Ties on the key break FIFO by an internal per-heap sequence number:
     elements with equal keys pop in push order. The heap is 4-ary — one
@@ -20,8 +26,8 @@
 type 'a t
 
 val create : ?capacity:int -> dummy:'a -> unit -> 'a t
-(** [dummy] fills empty payload slots so popped elements are not retained
-    (and so the arrays can grow without [Obj] tricks). *)
+(** [dummy] fills empty payload slots so popped (and cleared) elements
+    are not retained, and so the arrays can grow without [Obj] tricks. *)
 
 val length : 'a t -> int
 

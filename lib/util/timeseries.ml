@@ -65,7 +65,7 @@ let smooth t ~tau =
   let filter = Ewma.timed ~tau in
   for i = 0 to t.size - 1 do
     Ewma.timed_update filter ~now:t.times.(i) t.values.(i);
-    add out ~time:t.times.(i) (Ewma.timed_value_exn filter)
+    add out ~time:t.times.(i) (Ewma.timed_value_nan filter)
   done;
   out
 

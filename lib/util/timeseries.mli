@@ -27,7 +27,9 @@ val value_at : t -> float -> float option
 
 val smooth : t -> tau:float -> t
 (** A new series obtained by running a timed EWMA filter (time constant
-    [tau]) over the samples — the measurement filter of §6.1. *)
+    [tau]) over the samples — the measurement filter of §6.1. NaN
+    samples are skipped; outputs before the first non-NaN sample are
+    NaN. *)
 
 val mean_over : t -> t0:float -> t1:float -> float option
 (** Time-weighted mean of the sample-and-hold signal over [\[t0, t1\]];

@@ -50,6 +50,23 @@ let test_past_rejected () =
     (Invalid_argument "Sim.schedule_after: negative delay") (fun () ->
       Sim.schedule_after sim2 ~delay:(-1.) (fun () -> ()))
 
+(* NaN compares false both ways, so "at < now" / "delay < 0" let it
+   through into the event heap, whose keys must never be NaN. *)
+let test_nan_rejected () =
+  let sim = Sim.create () in
+  let rejects what f =
+    match f () with
+    | () -> Alcotest.failf "%s: NaN accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "schedule_after ~delay:nan" (fun () ->
+      Sim.schedule_after sim ~delay:Float.nan (fun () -> ()));
+  rejects "schedule ~at:nan" (fun () ->
+      Sim.schedule sim ~at:Float.nan (fun () -> ()));
+  rejects "periodic ~interval:nan" (fun () ->
+      Sim.periodic sim ~interval:Float.nan (fun () -> ()));
+  Alcotest.(check int) "nothing queued" 0 (Sim.pending sim)
+
 (* Handlers are accounted under their scheduling category when profiling
    is on; unlabeled events fall into the "event" bucket. *)
 let test_profile_categories () =
@@ -153,6 +170,7 @@ let () =
           quick "fifo tie-break" test_fifo_ties;
           quick "schedule from handler" test_schedule_from_handler;
           quick "past events rejected" test_past_rejected;
+          quick "NaN times rejected" test_nan_rejected;
           quick "profiling categories" test_profile_categories;
           quick "until horizon" test_until_horizon;
           quick "until is inclusive" test_until_inclusive;

@@ -344,6 +344,48 @@ let test_rcp_engine () =
 (* ------------------------------------------------------------------ *)
 (* End-to-end networks *)
 
+(* Golden determinism: one small seeded semi-dynamic NUMFabric scenario
+   on fig4a-packet's 2x2x4 leaf-spine. The digest covers the convergence
+   times' bit patterns and the packet counters, so an engine or network
+   change that reorders any event fails here, not only in the benchmark.
+   [golden_semidyn] was computed before the event engine moved to
+   stationary heap payloads and per-link propagation FIFOs, which must
+   not change it. *)
+let golden_semidyn = "3f37a06874a22ca6e1cf519f2c4a0517"
+
+let test_golden_semidyn () =
+  let module Metrics = Nf_util.Metrics in
+  let module Psupport = Nf_experiments.Psupport in
+  let counter name =
+    Metrics.fold_values Metrics.global ~init:0. ~f:(fun acc ~id:_ ~name:n v ->
+        if String.equal n name then v else acc)
+  in
+  let names =
+    [
+      "nf_sim_packets_forwarded_total";
+      "nf_sim_packets_delivered_total";
+      "nf_sim_packets_dropped_total";
+    ]
+  in
+  let before = List.map counter names in
+  let ls = Builders.leaf_spine ~n_leaves:2 ~n_spines:2 ~servers_per_leaf:4 () in
+  let setup = Psupport.default_setup ~seed:7 ~n_events:3 () in
+  let r =
+    Psupport.semidyn ~protocol:(proto "numfabric") ~setup
+      ~topology:ls.Builders.topo ~hosts:ls.Builders.servers
+      ~utility_of:(fun _ -> Utility.proportional_fair ())
+      ()
+  in
+  let b = Buffer.create 256 in
+  Array.iter (fun t -> Printf.bprintf b "%h;" t) r.Psupport.times;
+  Printf.bprintf b "u%d d%d" r.Psupport.unconverged r.Psupport.drops;
+  List.iter2 (fun n b0 -> Printf.bprintf b " %.0f" (counter n -. b0)) names before;
+  let text = Buffer.contents b in
+  Alcotest.(check string)
+    (Printf.sprintf "digest of %S" text)
+    golden_semidyn
+    (Digest.to_hex (Digest.string text))
+
 let rate net id =
   match Network.measured_rate net id with
   | Some r -> r
@@ -558,6 +600,21 @@ let test_add_flow_validation () =
         (Network.flow
            ~utility:(Utility.proportional_fair ())
            ~id:1 ~src:sb.Builders.senders.(0) ~dst:sb.Builders.receiver ()))
+
+(* Negative ids used to be accepted here and then fail mid-run, at the
+   first STFQ enqueue; the per-packet endpoint table needs ids >= 0 too. *)
+let test_add_flow_negative_id () =
+  let sb = Builders.single_bottleneck ~n_senders:1 () in
+  let net = Network.create ~topology:sb.Builders.sb_topo ~protocol:(proto "numfabric") () in
+  Alcotest.check_raises "negative id named"
+    (Invalid_argument "Network.add_flow: negative flow id -3") (fun () ->
+      Network.add_flow net
+        (Network.flow
+           ~utility:(Utility.proportional_fair ())
+           ~id:(-3) ~src:sb.Builders.senders.(0) ~dst:sb.Builders.receiver ()));
+  Alcotest.check_raises "nothing registered"
+    (Invalid_argument "Network.flow_path: unknown flow") (fun () ->
+      ignore (Network.flow_path net (-3) : int array))
 
 let test_numfabric_srpt_preempts () =
   (* Remaining-size weights approximate SRPT: a small flow arriving behind
@@ -934,6 +991,8 @@ let () =
           quick "pfabric preemption" test_pfabric_preemption;
           quick "conservation and paths" test_conservation_and_paths;
           quick "add_flow validation" test_add_flow_validation;
+          quick "add_flow rejects negative ids" test_add_flow_negative_id;
+          quick "golden semidyn digest" test_golden_semidyn;
           quick "numfabric on a fat tree" test_numfabric_on_fat_tree;
           quick "rate series recording" test_rate_series_recording;
           quick "srpt weights preempt" test_numfabric_srpt_preempts;

@@ -166,6 +166,92 @@ let prop_fheap_matches_reference =
       drain ();
       !ok)
 
+(* Slot reuse: pushes, drops and clears interleaved across capacity
+   growth (the heap starts at capacity 1), so freed payload slots are
+   handed out again while other elements sit in the heap. Every popped
+   (key, payload) must match the reference heap ordered by (key, push
+   seq); payloads are boxed strings so a mixed-up slot shows. *)
+let prop_fheap_slot_reuse =
+  let op =
+    QCheck.(
+      frequency
+        [
+          (6, map (fun k -> `Push k) (int_bound 7));
+          (4, always `Drop);
+          (1, always `Clear);
+        ])
+  in
+  QCheck.Test.make ~name:"fheap push/drop/clear matches reference" ~count:300
+    (QCheck.list op)
+    (fun ops ->
+      let h = Fheap.create ~capacity:1 ~dummy:"" () in
+      let ref_heap =
+        Heap.create ~cmp:(fun (ka, sa) (kb, sb) ->
+            match compare (ka : float) kb with 0 -> compare sa sb | c -> c)
+      in
+      let seq = ref 0 in
+      let payload i = "p" ^ string_of_int i in
+      let same_top () =
+        match Heap.peek ref_heap with
+        | None -> Fheap.is_empty h
+        | Some (key, i) ->
+          (not (Fheap.is_empty h))
+          && Fheap.top_key h = key
+          && String.equal (Fheap.top h) (payload i)
+      in
+      let step ok = function
+        | `Push k ->
+          let key = float_of_int k /. 4. in
+          Fheap.push h ~key ~aux:k (payload !seq);
+          Heap.push ref_heap (key, !seq);
+          incr seq;
+          ok
+        | `Drop ->
+          let ok = ok && same_top () in
+          if not (Fheap.is_empty h) then begin
+            Fheap.drop h;
+            ignore (Heap.pop ref_heap)
+          end;
+          ok
+        | `Clear ->
+          Fheap.clear h;
+          Heap.clear ref_heap;
+          ok
+      in
+      let ok = List.fold_left step true ops in
+      let rec drain ok =
+        if not (ok && same_top () && Fheap.length h = Heap.length ref_heap)
+        then false
+        else if Fheap.is_empty h then true
+        else begin
+          Fheap.drop h;
+          ignore (Heap.pop ref_heap);
+          drain ok
+        end
+      in
+      drain ok)
+
+(* A dropped or cleared payload must not stay reachable from the heap.
+   [@inline never] keeps the tracked block out of this frame's roots. *)
+let[@inline never] push_tracked h w ~key =
+  let v = Array.make 8 key in
+  Weak.set w 0 (Some v);
+  Fheap.push h ~key:(float_of_int key) ~aux:0 v
+
+let test_fheap_releases_payloads () =
+  let h = Fheap.create ~capacity:2 ~dummy:[||] () in
+  let w = Weak.create 1 in
+  push_tracked h w ~key:1;
+  Fheap.push h ~key:2. ~aux:0 [| 2 |];
+  Fheap.drop h;
+  Gc.full_major ();
+  Alcotest.(check bool) "dropped payload collected" false (Weak.check w 0);
+  Alcotest.(check (array int)) "the other payload stays" [| 2 |] (Fheap.top h);
+  push_tracked h w ~key:3;
+  Fheap.clear h;
+  Gc.full_major ();
+  Alcotest.(check bool) "cleared payload collected" false (Weak.check w 0)
+
 (* ------------------------------------------------------------------ *)
 (* EWMA *)
 
@@ -213,6 +299,22 @@ let test_ewma_rise_time () =
   | Some t ->
     Alcotest.(check bool) "crossing near ln(10)*tau" true
       (Float.abs (t -. Ewma.rise_time_90 ~tau:80e-6) < 5e-6)
+
+let test_ewma_timed_nan () =
+  let f = Ewma.timed ~tau:1. in
+  Alcotest.(check bool) "unset reads NaN" true
+    (Float.is_nan (Ewma.timed_value_nan f));
+  Ewma.timed_update f ~now:0. Float.nan;
+  Alcotest.(check (option (float 0.))) "a NaN sample is not a sample" None
+    (Ewma.timed_value f);
+  Ewma.timed_update f ~now:1. 4.;
+  Ewma.timed_update f ~now:2. Float.nan;
+  check_float "NaN sample leaves the value" 4. (Ewma.timed_value_nan f);
+  Ewma.timed_update f ~now:3. 8.;
+  (* dt is measured from the last real sample (now = 1). *)
+  check_close "blend after a NaN sample"
+    ((exp (-2.) *. 4.) +. ((1. -. exp (-2.)) *. 8.))
+    (Ewma.timed_value_exn f)
 
 let test_ewma_reset () =
   let f = Ewma.timed ~tau:1. in
@@ -975,6 +1077,8 @@ let () =
           quick "FIFO on equal keys" test_fheap_fifo_ties;
           quick "clear and growth" test_fheap_clear_and_growth;
           qcheck prop_fheap_matches_reference;
+          qcheck prop_fheap_slot_reuse;
+          quick "dropped payloads released" test_fheap_releases_payloads;
         ] );
       ( "ewma",
         [
@@ -982,6 +1086,7 @@ let () =
           quick "timed converges to step" test_ewma_timed_convergence;
           quick "out-of-order samples ignored" test_ewma_timed_out_of_order;
           quick "90% rise time" test_ewma_rise_time;
+          quick "NaN means no sample" test_ewma_timed_nan;
           quick "reset" test_ewma_reset;
         ] );
       ( "rng",
