@@ -153,12 +153,10 @@ let maxmin_kernel () =
    path holds no closure, option or other boxed float besides.
    [network_limit] (48) sits below that plus one boxed float per event
    (16 B), so a box on every event fails the audit, as does a closure per
-   hop. Before the engine's propagation FIFO and flat float records the
-   path measured ~137 B/event. Under the dev profile's -opaque every
-   float that crosses a library boundary on the path ([Sim.now], the
-   schedulers' times) boxes; a dev build measures ~114 B/event (~160
-   before), and [network_boundary_limit] (128) again leaves less than one
-   more box per event. *)
+   hop. Under the dev profile's -opaque every float that crosses a
+   library boundary on the path ([Sim.now], the schedulers' times)
+   boxes; a dev build measures ~114 B/event, and [network_boundary_limit]
+   (128) again leaves less than one more box per event. *)
 let network_limit = 48.0
 
 let network_boundary_limit = 128.0

@@ -111,12 +111,9 @@ type t = {
   protocol : Protocol.t;
   config : Config.t;
   links : link_state array;
-  senders : (int, Host.sender) Hashtbl.t;
-  receivers : (int, Host.receiver) Hashtbl.t;
   mutable sender_of : Host.sender option array;
   mutable receiver_of : Host.receiver option array;
-      (* the endpoints again, indexed by flow id, for the per-packet
-         delivery path; the tables above serve the cold queries *)
+      (* the endpoints, indexed by flow id (ids are non-negative) *)
   paths : (int, int array) Hashtbl.t;
   rtts : (int, float) Hashtbl.t;
   starts : (int, float) Hashtbl.t;
@@ -282,8 +279,6 @@ let create ?(config = Config.default) ?record ?trace ~topology ~protocol () =
       protocol;
       config;
       links;
-      senders = Hashtbl.create 256;
-      receivers = Hashtbl.create 256;
       sender_of = [||];
       receiver_of = [||];
       paths = Hashtbl.create 256;
@@ -376,7 +371,7 @@ let add_flow t spec =
   if spec.fs_id < 0 then
     invalid_arg
       (Printf.sprintf "Network.add_flow: negative flow id %d" spec.fs_id);
-  if Hashtbl.mem t.senders spec.fs_id then
+  if endpoint t.sender_of spec.fs_id <> None then
     invalid_arg "Network.add_flow: duplicate flow id";
   (match
      ( (Topology.node t.topo spec.fs_src).Topology.kind,
@@ -415,8 +410,6 @@ let add_flow t spec =
     else None
   in
   let receiver = Host.make_receiver t.ctx ~flow:spec.fs_id ~rpath ~sink in
-  Hashtbl.replace t.senders spec.fs_id sender;
-  Hashtbl.replace t.receivers spec.fs_id receiver;
   t.sender_of <- with_room t.sender_of spec.fs_id;
   t.sender_of.(spec.fs_id) <- Some sender;
   t.receiver_of <- with_room t.receiver_of spec.fs_id;
@@ -432,7 +425,7 @@ let add_flow t spec =
       Host.start t.ctx sender)
 
 let stop_flow_at t ~id at =
-  match Hashtbl.find_opt t.senders id with
+  match endpoint t.sender_of id with
   | None -> invalid_arg "Network.stop_flow_at: unknown flow"
   | Some s ->
     Sim.schedule_cat t.sim ~cat:cat_flow_stop ~at (fun () ->
@@ -453,14 +446,14 @@ let run t ~until =
 (* Measurement *)
 
 let measured_rate t id =
-  match Hashtbl.find_opt t.receivers id with
+  match endpoint t.receiver_of id with
   | None -> None
   | Some r -> Host.measured_rate r
 
 let rate_series t id = Record.find t.record Record.Rate ~subject:id
 
 let received_bytes t id =
-  match Hashtbl.find_opt t.receivers id with
+  match endpoint t.receiver_of id with
   | None -> 0.
   | Some r -> Host.received_bytes r
 

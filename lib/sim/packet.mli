@@ -14,10 +14,9 @@
     meant to make. The float fields are mutable fields of a record that
     also holds ints and pointers, so each write to one of them ([path_price]
     at every xWI dequeue, the host's stamps) still boxes a fresh float;
-    moving them into an all-float sub-record would remove that (about 12 B
-    per simulator event) — see DESIGN.md, Performance, for why they have
-    not moved yet. {!make_data} and {!make_ack} are [[\@inline]] so the
-    [now] they take stays unboxed in the caller. *)
+    ROADMAP item 7 says why they are not in an all-float sub-record yet.
+    {!make_data} and {!make_ack} are [[\@inline]] so the [now] they take
+    stays unboxed in the caller. *)
 
 type kind = Data | Ack
 
