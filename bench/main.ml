@@ -125,6 +125,9 @@ let micro_tests () =
               paths))
   in
   let xwi_state = Nf_num.Xwi_core.init problem in
+  let inc = Nf_num.Problem.incidence problem in
+  let maxmin_ws = Nf_num.Maxmin.sparse_workspace inc in
+  let maxmin_rates = Array.make 128 0. in
   let bf = Nf_num.Bandwidth_function.fig2_flow1 () in
   let stfq_queue = Nf_sim.Queue_disc.stfq () in
   let mk_packet seq =
@@ -134,7 +137,7 @@ let micro_tests () =
   [
     Test.make ~name:"maxmin_128_flows"
       (Staged.stage (fun () ->
-           ignore (Nf_num.Maxmin.solve ~caps ~paths ~weights : Nf_num.Maxmin.result)));
+           Nf_num.Maxmin.solve_sparse maxmin_ws inc ~weights ~rates:maxmin_rates));
     Test.make ~name:"xwi_step_128_flows"
       (Staged.stage (fun () ->
            Nf_num.Xwi_core.step problem Nf_num.Xwi_core.default_params xwi_state));

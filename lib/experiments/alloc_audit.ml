@@ -130,11 +130,8 @@ let maxmin_kernel () =
       ~group_of_flow:(Array.init n_flows Fun.id)
       ~n_groups:n_flows
   in
-  let weights =
-    Nf_num.Incidence.vec_of_array
-      (Array.init n_flows (fun i -> 0.5 +. float_of_int (i mod 7)))
-  in
-  let rates = Nf_num.Incidence.vec n_flows in
+  let weights = Array.init n_flows (fun i -> 0.5 +. float_of_int (i mod 7)) in
+  let rates = Array.make n_flows 0. in
   let ws = Nf_num.Maxmin.sparse_workspace inc in
   fun () -> Nf_num.Maxmin.solve_sparse ws inc ~weights ~rates
 

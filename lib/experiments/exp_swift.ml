@@ -43,7 +43,14 @@ let run ?(seed = 21) ?(n_flows = 12) ?(duration = 8e-3) () =
       pairs
   in
   let caps = Array.map (fun l -> l.Topology.capacity) (Topology.links topology) in
-  let expected = (Nf_num.Maxmin.solve ~caps ~paths ~weights).Nf_num.Maxmin.rates in
+  let expected =
+    let groups =
+      Array.mapi
+        (fun i path -> Nf_num.Problem.single_path (static_weight weights.(i)) path)
+        paths
+    in
+    Nf_num.Maxmin.solve_problem (Nf_num.Problem.create_groups ~caps ~groups) ~weights
+  in
   let net =
     Network.create ~topology ~protocol:(Nf_sim.Protocols.get "numfabric") ()
   in

@@ -8,10 +8,8 @@ let default_params = { gain_util = 0.3; gain_queue = 0.15 }
 let default_interval = 16e-6
 
 (* Price magnitude the gains are normalized by: the mean marginal utility
-   per hop at the equal-weight max-min allocation. *)
-let price_scale problem =
-  let weights = Array.make (Problem.n_flows problem) 1. in
-  let rates = (Nf_num.Maxmin.solve_problem problem ~weights).Nf_num.Maxmin.rates in
+   per hop at the equal-weight max-min allocation [rates]. *)
+let price_scale problem ~rates =
   let acc = ref 0. in
   let n = Problem.n_flows problem in
   for i = 0 to n - 1 do
@@ -44,20 +42,11 @@ let make_with_prices ?(params = default_params) ?(interval = default_interval)
   let iter = ref 0 in
   let problem = ref problem in
   let n_links = Problem.n_links !problem in
-  let scale = price_scale !problem in
-  let prices = Array.make n_links 0. in
+  let seed_rates = Nf_num.Xwi_core.equal_weight_rates !problem in
+  let scale = price_scale !problem ~rates:seed_rates in
   (* Start from the seed prices xWI also uses so that the comparison is
      about dynamics, not initialization. *)
-  (let weights = Array.make (Problem.n_flows !problem) 1. in
-   let rates = (Nf_num.Maxmin.solve_problem !problem ~weights).Nf_num.Maxmin.rates in
-   for i = 0 to Problem.n_flows !problem - 1 do
-     let u = Problem.group_utility !problem (Problem.flow_group !problem i) in
-     let m = u.Utility.deriv (Float.max rates.(i) 1e-12) in
-     let share = m /. float_of_int (Problem.path_len !problem i) in
-     Array.iter
-       (fun l -> if share > prices.(l) then prices.(l) <- share)
-       (Problem.flow_path !problem i)
-   done);
+  let prices = Nf_num.Xwi_core.seed_prices !problem ~rates:seed_rates in
   let queues = Array.make n_links 0. in
   (* bytes *)
   let loads = Array.make n_links 0. in

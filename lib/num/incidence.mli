@@ -2,33 +2,29 @@
 
     The flat data layout the hot NUM kernels iterate over: CSR
     (flow → links on its path), CSC (link → flows crossing it), and the
-    group → flows map, all as dense [int array] index arrays, plus
-    unboxed float64 {!vec} buffers for per-link capacities. Built once
-    per {!Problem.t}; see DESIGN.md "Sparse NUM core" for layout and
+    group → flows map, all as dense [int array] index arrays, plus the
+    problem's live per-link capacity array. Built once per
+    {!Problem.t}; see DESIGN.md "Sparse NUM core" for layout and
     ownership rules. *)
 
-type vec =
-  (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** Unboxed float64 buffer (C layout). All per-flow / per-link / per-group
-    working vectors of the sparse kernels use this type. *)
+type vec = float array
+(** Per-flow / per-link / per-group working vector of the sparse
+    kernels. OCaml float arrays are already flat unboxed float64, so the
+    kernels sweep the caller's own arrays with no copy in between. *)
+
+(** {2 Vector helpers}
+
+    One-liners over [float array], kept because the perfbench probes name
+    them. New code should use [Array] directly. *)
 
 val vec : int -> vec
 (** Freshly allocated, zero-filled. *)
 
 val vec_of_array : float array -> vec
-
-val vec_fill : vec -> float -> unit
-
-val vec_blit : vec -> vec -> unit
-(** [vec_blit src dst]. *)
-
-val vec_to_array : vec -> float array -> unit
-(** Copy into a caller-owned array; length taken from the array. *)
+(** A copy of the array. *)
 
 val vec_of_array_into : float array -> vec -> unit
 (** Copy from an array into an existing vec; length taken from the array. *)
-
-val array_of_vec : vec -> float array
 
 type t = private {
   n_links : int;
@@ -43,7 +39,10 @@ type t = private {
   grp_flows : int array;  (** flow ids in member order *)
   group_of_flow : int array;
   singleton : bool;  (** every group has exactly one flow *)
-  caps : vec;  (** link capacities; refresh via {!sync_caps} *)
+  caps : vec;
+      (** link capacities: the very array passed to {!create} (for a
+          problem's incidence, {!Problem.caps}), shared, not copied, so a
+          write into it is seen by the next kernel call *)
 }
 
 val create :
@@ -52,14 +51,10 @@ val create :
   group_of_flow:int array ->
   n_groups:int ->
   t
-(** Build the index arrays. Flows must be numbered group-major (all of
-    group 0's flows first, then group 1's, ...) as {!Problem.create}
-    guarantees. @raise Invalid_argument on out-of-range ids. *)
-
-val sync_caps : t -> float array -> unit
-(** Re-copy the (possibly mutated) capacity array into {!field-caps}.
-    Dynamic experiments change link speeds between iterations; sparse
-    kernels call this once per step. *)
+(** Build the index arrays; [caps] is kept by reference. Flows must be
+    numbered group-major (all of group 0's flows first, then group 1's,
+    ...) as {!Problem.create} guarantees. @raise Invalid_argument on
+    out-of-range ids. *)
 
 val path_len : t -> int -> int
 
@@ -68,11 +63,11 @@ val link_degree : t -> int -> int
 
 val path_prices_into : t -> prices:vec -> out:vec -> unit
 (** [out.(i) = Σ_{l ∈ L(i)} prices.(l)] for every flow, in path order
-    (bit-identical to the legacy per-flow fold). *)
+    (bit-identical to a per-flow fold over the path). *)
 
 val link_loads_into : t -> rates:vec -> out:vec -> unit
-(** [out.(l) = Σ_{i ∋ l} rates.(i)], accumulated flow-major in path order
-    (bit-identical to the legacy sweep). *)
+(** Clears [out], then [out.(l) = Σ_{i ∋ l} rates.(i)], accumulated
+    flow-major in path order (bit-identical to a per-flow walk). *)
 
 val group_rates_into : t -> rates:vec -> out:vec -> unit
 (** [out.(g) = Σ_{i ∈ g} rates.(i)] in member order. *)

@@ -1,179 +1,16 @@
-type result = {
-  rates : float array;
-  bottleneck : int array;
-  fair_share : float array;
-}
+(* Weighted max-min by progressive filling over an [Incidence.t]: raise
+   the fair-share level of all unfrozen flows together; each round finds
+   the link that saturates first and freezes every flow crossing a
+   saturated link. Integer per-link active-flow counts (not float weight
+   sums) decide which links still constrain the fill, so rounding noise
+   can never leave a phantom constraint that would stall the loop.
 
-type workspace = {
-  w_frozen : bool array;
-  w_rem_cap : float array;
-  w_active_weight : float array;
-  w_active_count : int array;
-  w_saturated : bool array;  (* per-round scratch, cleared each round *)
-  w_bottleneck : int array;
-  w_fair_share : float array;
-}
-
-let workspace ~n_links ~n_flows =
-  {
-    w_frozen = Array.make n_flows false;
-    w_rem_cap = Array.make n_links 0.;
-    w_active_weight = Array.make n_links 0.;
-    w_active_count = Array.make n_links 0;
-    w_saturated = Array.make n_links false;
-    w_bottleneck = Array.make n_flows (-1);
-    w_fair_share = Array.make n_flows 0.;
-  }
-
-let validate ~caps ~paths ~weights =
-  let n_links = Array.length caps in
-  if Array.length paths <> Array.length weights then
-    invalid_arg "Maxmin.solve: paths/weights length mismatch";
-  Array.iter
-    (fun c -> if not (c > 0.) then invalid_arg "Maxmin.solve: non-positive capacity")
-    caps;
-  Array.iter
-    (fun w -> if not (w > 0.) then invalid_arg "Maxmin.solve: non-positive weight")
-    weights;
-  Array.iter
-    (fun path ->
-      if Array.length path = 0 then invalid_arg "Maxmin.solve: empty path";
-      Array.iter
-        (fun l ->
-          if l < 0 || l >= n_links then invalid_arg "Maxmin.solve: bad link id")
-        path)
-    paths
-
-(* Progressive filling: raise the fair-share level of all unfrozen flows
-   simultaneously; at each round find the link that saturates first, freeze
-   the flows crossing it, and continue. Integer per-link active-flow counts
-   (not float weight sums) decide which links still constrain the fill, so
-   rounding noise can never leave a phantom constraint that would stall the
-   loop. O(rounds * total path length), rounds <= number of links. *)
-let solve_core ws ~caps ~paths ~weights ~rates =
-  let n_flows = Array.length paths and n_links = Array.length caps in
-  let frozen = ws.w_frozen
-  and rem_cap = ws.w_rem_cap
-  and active_weight = ws.w_active_weight
-  and active_count = ws.w_active_count
-  and bottleneck = ws.w_bottleneck
-  and fair_share = ws.w_fair_share in
-  Array.fill frozen 0 n_flows false;
-  Array.blit caps 0 rem_cap 0 n_links;
-  Array.fill active_weight 0 n_links 0.;
-  Array.fill active_count 0 n_links 0;
-  Array.fill bottleneck 0 n_flows (-1);
-  Array.fill fair_share 0 n_flows 0.;
-  Array.fill rates 0 n_flows 0.;
-  for i = 0 to n_flows - 1 do
-    let path = paths.(i) in
-    let w = weights.(i) in
-    for k = 0 to Array.length path - 1 do
-      let l = path.(k) in
-      active_weight.(l) <- active_weight.(l) +. w;
-      active_count.(l) <- active_count.(l) + 1
-    done
-  done;
-  let level = ref 0. in
-  let n_active = ref n_flows in
-  while !n_active > 0 do
-    (* Smallest additional fair share that saturates some constraining link. *)
-    let delta = ref infinity and argmin = ref (-1) in
-    for l = 0 to n_links - 1 do
-      if active_count.(l) > 0 then begin
-        let d = Float.max 0. (rem_cap.(l) /. active_weight.(l)) in
-        if d < !delta then begin
-          delta := d;
-          argmin := l
-        end
-      end
-    done;
-    if !argmin < 0 then begin
-      (* No active flow crosses any link: impossible since every flow has a
-         non-empty path, but keep a defensive exit. *)
-      for i = 0 to n_flows - 1 do
-        if not frozen.(i) then begin
-          frozen.(i) <- true;
-          fair_share.(i) <- !level;
-          rates.(i) <- weights.(i) *. !level
-        end
-      done;
-      n_active := 0
-    end
-    else begin
-      let d = !delta in
-      level := !level +. d;
-      for l = 0 to n_links - 1 do
-        if active_count.(l) > 0 then begin
-          rem_cap.(l) <- rem_cap.(l) -. (active_weight.(l) *. d);
-          if rem_cap.(l) < 0. then rem_cap.(l) <- 0.
-        end
-      done;
-      (* Links saturated at the new level; the argmin link is saturated by
-         construction even if rounding left it epsilon above zero. *)
-      let saturated = ws.w_saturated in
-      Array.fill saturated 0 n_links false;
-      saturated.(!argmin) <- true;
-      for l = 0 to n_links - 1 do
-        if active_count.(l) > 0 && rem_cap.(l) <= 1e-9 *. caps.(l) then
-          saturated.(l) <- true
-      done;
-      let froze_any = ref false in
-      for i = 0 to n_flows - 1 do
-        if not frozen.(i) then begin
-          let path = paths.(i) in
-          let hit = ref (-1) in
-          for k = 0 to Array.length path - 1 do
-            let l = path.(k) in
-            if saturated.(l) && !hit = -1 then hit := l
-          done;
-          if !hit >= 0 then begin
-            frozen.(i) <- true;
-            froze_any := true;
-            bottleneck.(i) <- !hit;
-            fair_share.(i) <- !level;
-            rates.(i) <- weights.(i) *. !level;
-            let w = weights.(i) in
-            for k = 0 to Array.length path - 1 do
-              let l = path.(k) in
-              active_weight.(l) <- active_weight.(l) -. w;
-              active_count.(l) <- active_count.(l) - 1
-            done;
-            decr n_active
-          end
-        end
-      done;
-      (* The argmin link has at least one unfrozen flow crossing it, so a
-         freeze must have happened; assert the loop variant. *)
-      assert !froze_any
-    end
-  done
-
-let solve ~caps ~paths ~weights =
-  validate ~caps ~paths ~weights;
-  let n_flows = Array.length paths and n_links = Array.length caps in
-  let ws = workspace ~n_links ~n_flows in
-  let rates = Array.make n_flows 0. in
-  solve_core ws ~caps ~paths ~weights ~rates;
-  { rates; bottleneck = ws.w_bottleneck; fair_share = ws.w_fair_share }
-
-let solve_problem problem ~weights =
-  solve ~caps:(Problem.caps problem) ~paths:(Problem.paths problem) ~weights
-
-(* ------------------------------------------------------------------ *)
-(* Sparse (CSR/CSC-driven) water-filling over an [Incidence.t].
-
-   Same progressive-filling semantics as [solve_core], but the freeze
-   scan is link-major: instead of re-walking every unfrozen flow's path
-   each round, only the flows on this round's saturated links (their CSC
-   columns) are visited, and each frozen flow retires its own CSR row.
-   Work is O(rounds * n_links + nnz) instead of O(rounds * nnz).
-
-   The fill levels match [solve_core] up to floating-point rounding (the
-   active-weight decrements accumulate in link-major rather than
-   flow-major order), so rates agree to ~1e-9 relative, not bitwise;
-   [bottleneck] reports the lowest-numbered saturated link instead of the
-   first on the flow's path. The array API above stays the reference. *)
+   The freeze scan is link-major: only the flows on this round's
+   saturated links (their CSC columns) are visited, and each frozen flow
+   retires its own CSR row. Work is O(rounds * n_links + nnz). A
+   flow-major scan (the dense reference under test/) freezes the same
+   flows at the same levels; only the order of the active-weight
+   decrements differs, so the two agree to ~1e-9 relative, not bitwise. *)
 
 type sparse_workspace = {
   s_frozen : bool array;  (* n_flows *)
@@ -184,8 +21,6 @@ type sparse_workspace = {
   s_live : int array;  (* n_links; compacting list of links with active flows *)
   s_round : int array;  (* n_flows; flows frozen in the current round *)
   s_count0 : int array;  (* n_links; initial active counts (static per inc) *)
-  s_bottleneck : int array;  (* n_flows *)
-  s_fair_share : float array;  (* n_flows *)
   (* Diagnostics of the last solve, read by [Nf_num.Diag]. Ints are
      immediate; the final fill level lives in a 1-element float array
      because a mutable float field of this mixed record would box on
@@ -213,8 +48,6 @@ let sparse_workspace (inc : Incidence.t) =
     s_live = Array.make n_links 0;
     s_round = Array.make n_flows 0;
     s_count0 = count0;
-    s_bottleneck = Array.make n_flows (-1);
-    s_fair_share = Array.make n_flows 0.;
     s_stat_rounds = 0;
     s_stat_saturated = 0;
     s_stat_level = Array.make 1 0.;
@@ -227,7 +60,7 @@ let sparse_saturated_links ws = ws.s_stat_saturated
 let sparse_level ws = ws.s_stat_level.(0)
 
 let[@nf.hot] solve_sparse ws (inc : Incidence.t)
-    ~(weights : Incidence.vec) ~(rates : Incidence.vec) =
+    ~(weights : float array) ~(rates : float array) =
   let n_flows = inc.Incidence.n_flows and n_links = inc.Incidence.n_links in
   let row_ptr = inc.Incidence.row_ptr
   and row_cols = inc.Incidence.row_cols
@@ -238,22 +71,16 @@ let[@nf.hot] solve_sparse ws (inc : Incidence.t)
   and rem_cap = ws.s_rem_cap
   and active_weight = ws.s_active_weight
   and active_count = ws.s_active_count
-  and saturated = ws.s_saturated
-  and bottleneck = ws.s_bottleneck
-  and fair_share = ws.s_fair_share in
+  and saturated = ws.s_saturated in
   Array.fill frozen 0 n_flows false;
   Array.fill active_weight 0 n_links 0.;
   Array.blit ws.s_count0 0 active_count 0 n_links;
-  Array.fill bottleneck 0 n_flows (-1);
-  Array.fill fair_share 0 n_flows 0.;
-  Incidence.vec_fill rates 0.;
-  for l = 0 to n_links - 1 do
-    Array.unsafe_set rem_cap l (Bigarray.Array1.unsafe_get caps l)
-  done;
-  (* Flow-major setup sweep, same accumulation order as [solve_core];
-     counts are static and come from the precomputed [s_count0]. *)
+  Array.fill rates 0 n_flows 0.;
+  Array.blit caps 0 rem_cap 0 n_links;
+  (* Flow-major setup sweep; counts are static and come from the
+     precomputed [s_count0]. *)
   for i = 0 to n_flows - 1 do
-    let w = Bigarray.Array1.unsafe_get weights i in
+    let w = Array.unsafe_get weights i in
     let stop = Array.unsafe_get row_ptr (i + 1) in
     for k = Array.unsafe_get row_ptr i to stop - 1 do
       let l = Array.unsafe_get row_cols k in
@@ -302,9 +129,7 @@ let[@nf.hot] solve_sparse ws (inc : Incidence.t)
       for i = 0 to n_flows - 1 do
         if not (Array.unsafe_get frozen i) then begin
           Array.unsafe_set frozen i true;
-          Array.unsafe_set fair_share i !level;
-          Bigarray.Array1.unsafe_set rates i
-            (Bigarray.Array1.unsafe_get weights i *. !level)
+          Array.unsafe_set rates i (Array.unsafe_get weights i *. !level)
         end
       done;
       n_active := 0
@@ -323,7 +148,7 @@ let[@nf.hot] solve_sparse ws (inc : Incidence.t)
         in
         let rc = if rc < 0. then 0. else rc in
         Array.unsafe_set rem_cap l rc;
-        if Int.equal l !argmin || rc <= 1e-9 *. Bigarray.Array1.unsafe_get caps l
+        if Int.equal l !argmin || rc <= 1e-9 *. Array.unsafe_get caps l
         then begin
           Array.unsafe_set saturated !n_sat l;
           incr n_sat
@@ -344,10 +169,7 @@ let[@nf.hot] solve_sparse ws (inc : Incidence.t)
           let i = Array.unsafe_get col_rows c in
           if not (Array.unsafe_get frozen i) then begin
             Array.unsafe_set frozen i true;
-            Array.unsafe_set bottleneck i l;
-            Array.unsafe_set fair_share i !level;
-            Bigarray.Array1.unsafe_set rates i
-              (Bigarray.Array1.unsafe_get weights i *. !level);
+            Array.unsafe_set rates i (Array.unsafe_get weights i *. !level);
             Array.unsafe_set round !n_round i;
             incr n_round
           end
@@ -362,7 +184,7 @@ let[@nf.hot] solve_sparse ws (inc : Incidence.t)
       if !n_active > 0 then
         for r = 0 to !n_round - 1 do
           let i = Array.unsafe_get round r in
-          let w = Bigarray.Array1.unsafe_get weights i in
+          let w = Array.unsafe_get weights i in
           let stop = Array.unsafe_get row_ptr (i + 1) in
           for k = Array.unsafe_get row_ptr i to stop - 1 do
             let l' = Array.unsafe_get row_cols k in
@@ -376,41 +198,15 @@ let[@nf.hot] solve_sparse ws (inc : Incidence.t)
   done;
   ws.s_stat_level.(0) <- !level
 
-let is_maxmin ?(tol = 1e-6) ~caps ~paths ~weights rates =
-  validate ~caps ~paths ~weights;
-  let n_links = Array.length caps in
-  let loads = Array.make n_links 0. in
-  Array.iteri
-    (fun i path -> Array.iter (fun l -> loads.(l) <- loads.(l) +. rates.(i)) path)
-    paths;
-  let feasible =
-    Array.for_all (fun x -> x >= -1e-9) rates
-    &&
-    let ok = ref true in
-    for l = 0 to n_links - 1 do
-      if loads.(l) > caps.(l) *. (1. +. tol) then ok := false
-    done;
-    !ok
-  in
-  (* Max share of any flow on link l, normalized by weight. *)
-  let max_share = Array.make n_links 0. in
-  Array.iteri
-    (fun i path ->
-      let share = rates.(i) /. weights.(i) in
-      Array.iter
-        (fun l -> if share > max_share.(l) then max_share.(l) <- share)
-        path)
-    paths;
-  let has_bottleneck i =
-    let share = rates.(i) /. weights.(i) in
-    Array.exists
-      (fun l ->
-        loads.(l) >= caps.(l) *. (1. -. tol)
-        && share >= max_share.(l) *. (1. -. tol))
-      paths.(i)
-  in
-  feasible
-  &&
-  let ok = ref true in
-  Array.iteri (fun i _ -> if not (has_bottleneck i) then ok := false) paths;
-  !ok
+
+let solve_problem problem ~weights =
+  let inc = Problem.incidence problem in
+  if Array.length weights <> inc.Incidence.n_flows then
+    invalid_arg "Maxmin.solve_problem: weights length";
+  Array.iter
+    (fun w ->
+      if not (w > 0.) then invalid_arg "Maxmin.solve_problem: non-positive weight")
+    weights;
+  let rates = Array.make inc.Incidence.n_flows 0. in
+  solve_sparse (sparse_workspace inc) inc ~weights ~rates;
+  rates

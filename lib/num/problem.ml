@@ -23,9 +23,9 @@ type entry = {
 }
 
 type t = {
-  capacities : float array;  (* live; fixed length for the problem's life *)
-  mutable cap_gen : int;  (* bumped by set_cap/touch_caps *)
-  mutable synced_cap_gen : int;  (* cap_gen at the last incidence sync *)
+  capacities : float array;
+      (* live; fixed length for the problem's life; shared by every
+         compiled incidence *)
   (* compiled snapshot: exactly the dense structure solvers iterate over *)
   mutable flow_paths : int array array;  (* flow -> link ids *)
   mutable groups_of_flow : int array;
@@ -117,7 +117,6 @@ let compile t =
   t.incidence <-
     Incidence.create ~caps:t.capacities ~paths:flow_paths
       ~group_of_flow:groups_of_flow ~n_groups;
-  t.synced_cap_gen <- t.cap_gen;
   t.topo_gen <- t.topo_gen + 1;
   t.dirty <- false
 
@@ -175,8 +174,6 @@ let create_groups ~caps ~groups =
   let t =
     {
       capacities;
-      cap_gen = 0;
-      synced_cap_gen = 0;
       flow_paths = [||];
       groups_of_flow = [||];
       members = [||];
@@ -254,8 +251,8 @@ let generation t =
 
 (* ------------------------------------------------------------------ *)
 (* Capacities: the array is live (Figure 10 changes link speeds mid-run)
-   but mutations must be announced — [set_cap], or raw writes followed by
-   [touch_caps] — so that generation-gated kernels notice. *)
+   and the compiled incidence holds the same array, so a write here is
+   seen by the next kernel sweep with nothing to announce. *)
 
 let caps t = t.capacities
 
@@ -263,19 +260,7 @@ let set_cap t l c =
   if l < 0 || l >= Array.length t.capacities then
     invalid_arg "Problem.set_cap: link id out of range";
   if not (c > 0.) then invalid_arg "Problem.set_cap: capacity not positive";
-  t.capacities.(l) <- c;
-  t.cap_gen <- t.cap_gen + 1
-
-let touch_caps t = t.cap_gen <- t.cap_gen + 1
-
-let cap_generation t = t.cap_gen
-
-let sync_caps t =
-  force t;
-  if not (Int.equal t.synced_cap_gen t.cap_gen) then begin
-    Incidence.sync_caps t.incidence t.capacities;
-    t.synced_cap_gen <- t.cap_gen
-  end
+  t.capacities.(l) <- c
 
 (* ------------------------------------------------------------------ *)
 (* Compiled-snapshot accessors (all force a pending commit first) *)
@@ -331,47 +316,18 @@ let group_rate t ~rates g =
   done;
   !acc
 
-(* The [_into] sweeps and [path_price] run once per solver iteration, so
-   they walk the flat CSR index arrays of [t.incidence] instead of the
-   array-of-arrays path structure. Accumulation order matches the legacy
-   per-flow walks exactly (same operands, same order: bit-identical). *)
+(* The [_into] sweeps and [path_price] run once per solver iteration,
+   so they walk the flat CSR index arrays of [t.incidence] instead of the
+   array-of-arrays path structure, in the same operand order as a
+   per-flow walk (bit-identical). *)
 
-let[@nf.hot] group_rates_into t ~rates out =
+let group_rates_into t ~rates out =
   force t;
-  let inc = t.incidence in
-  let grp_ptr = inc.Incidence.grp_ptr and grp_flows = inc.Incidence.grp_flows in
-  for g = 0 to Array.length t.members - 1 do
-    let stop = Array.unsafe_get grp_ptr (g + 1) in
-    let acc = ref 0. in
-    for k = Array.unsafe_get grp_ptr g to stop - 1 do
-      acc := !acc +. Array.unsafe_get rates (Array.unsafe_get grp_flows k)
-    done;
-    Array.unsafe_set out g !acc
-  done
+  Incidence.group_rates_into t.incidence ~rates ~out
 
-let group_rates t ~rates =
-  let out = Array.make (n_groups t) 0. in
-  group_rates_into t ~rates out;
-  out
-
-let[@nf.hot] link_loads_into t ~rates loads =
+let link_loads_into t ~rates loads =
   force t;
-  Array.fill loads 0 (Array.length loads) 0.;
-  let inc = t.incidence in
-  let row_ptr = inc.Incidence.row_ptr and row_cols = inc.Incidence.row_cols in
-  for i = 0 to Array.length t.flow_paths - 1 do
-    let x = Array.unsafe_get rates i in
-    let stop = Array.unsafe_get row_ptr (i + 1) in
-    for k = Array.unsafe_get row_ptr i to stop - 1 do
-      let l = Array.unsafe_get row_cols k in
-      Array.unsafe_set loads l (Array.unsafe_get loads l +. x)
-    done
-  done
-
-let link_loads t ~rates =
-  let loads = Array.make (n_links t) 0. in
-  link_loads_into t ~rates loads;
-  loads
+  Incidence.link_loads_into t.incidence ~rates ~out:loads
 
 let[@nf.hot] path_price t ~prices i =
   force t;

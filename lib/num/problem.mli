@@ -89,26 +89,15 @@ val generation : t -> int
 (** {2 Capacities} *)
 
 val caps : t -> float array
-(** The live capacity array. Mutating it directly is allowed (Figure 10
-    changes link speeds mid-run) but must be followed by {!touch_caps} —
-    or use {!set_cap}, which does both — so that kernels gating their
-    incidence cap refresh on {!cap_generation} notice the change. *)
+(** The live capacity array, shared with every compiled
+    {!Incidence.t}. Writing into it directly is allowed (Figure 10
+    changes link speeds mid-run): the next kernel sweep reads the new
+    value, with nothing to announce. Capacities are not a topology
+    change, so {!generation} does not move. *)
 
 val set_cap : t -> int -> float -> unit
-(** [set_cap t l c] updates link [l]'s capacity and bumps
-    {!cap_generation}. @raise Invalid_argument on a bad id or [c <= 0]. *)
-
-val touch_caps : t -> unit
-(** Announce direct writes into {!caps}: bumps {!cap_generation}. *)
-
-val cap_generation : t -> int
-(** Bumped by {!set_cap}/{!touch_caps}. *)
-
-val sync_caps : t -> unit
-(** Refresh the incidence's capacity vec from {!caps} iff
-    {!cap_generation} moved since the last sync (a stale-check, not a
-    copy, in the steady state). Sparse kernels call this once per step;
-    it replaces the easy-to-forget [Incidence.sync_caps]. *)
+(** [set_cap t l c] is [(caps t).(l) <- c] with validation.
+    @raise Invalid_argument on a bad id or [c <= 0]. *)
 
 (** {2 Compiled-snapshot accessors}
 
@@ -143,26 +132,20 @@ val paths : t -> int array array
 val incidence : t -> Incidence.t
 (** The sparse CSR/CSC index structure of the current snapshot. Shared,
     read-only for callers; replaced wholesale by a commit (check
-    {!generation} before caching it across events). Kernels that cache
-    it across iterations must call {!sync_caps} each step to pick up
-    dynamic capacity changes. *)
+    {!generation} before caching it across events). Its [caps] field is
+    {!caps} itself, so capacity changes need no refresh. *)
 
 val group_rate : t -> rates:float array -> int -> float
 (** [y_g = Σ_{i ∈ g} rates.(i)]. *)
 
-val group_rates : t -> rates:float array -> float array
-  [@@deprecated "allocates a fresh array per call; use group_rates_into"]
-
 val group_rates_into : t -> rates:float array -> float array -> unit
-(** Like [group_rates] but writes into a caller-owned array of length
-    [n_groups] (no allocation). *)
-
-val link_loads : t -> rates:float array -> float array
-  [@@deprecated "allocates a fresh array per call; use link_loads_into"]
+(** Writes every [y_g] into a caller-owned array of length [n_groups]
+    ({!Incidence.group_rates_into} on the current snapshot). *)
 
 val link_loads_into : t -> rates:float array -> float array -> unit
-(** Like [link_loads] but clears and fills a caller-owned array of
-    length [n_links] (no allocation). *)
+(** Clears and fills a caller-owned array of length [n_links] with the
+    per-link loads ({!Incidence.link_loads_into} on the current
+    snapshot). *)
 
 val path_price : t -> prices:float array -> int -> float
 (** [Σ_{l ∈ L(i)} prices.(l)] for flow [i]. *)

@@ -64,31 +64,27 @@ let[@inline] urate_fast u p =
   else Utility.max_rate_cap
 
 (* Per-state scratch: one allocation at [init], zero per [step]. The
-   [v_*] fields are the unboxed float64 working set of the sparse step
-   pipeline (see DESIGN.md "Sparse NUM core"); the [b_old_*] float
-   arrays are the fixpoint loop snapshots. Abstract in the interface so
-   states can only come from the init functions. *)
+   step pipeline sweeps the state's own [prices]/[rates]/[weights]; these
+   are the remaining per-step intermediates (see DESIGN.md "Sparse NUM
+   core") plus the fixpoint loop's snapshots. Abstract in the interface
+   so states can only come from the init functions. *)
 type buffers = {
   b_old_prices : float array;  (* n_links; fixpoint-loop snapshot *)
   b_old_rates : float array;  (* n_flows; fixpoint-loop snapshot *)
-  (* sparse working set *)
-  v_prices : Incidence.vec;  (* n_links *)
-  v_rates : Incidence.vec;  (* n_flows; prev rates in, max-min rates out *)
-  v_weights : Incidence.vec;  (* n_flows *)
-  v_path_price : Incidence.vec;  (* n_flows; computed once per step *)
-  v_loads : Incidence.vec;  (* n_links *)
-  v_residual : Incidence.vec;  (* n_flows *)
-  v_group_rates : Incidence.vec;  (* n_groups *)
-  v_group_marginal : Incidence.vec;  (* n_groups *)
-  v_inv_len : Incidence.vec;  (* n_flows; 1 / |L(i)|, fixed per problem *)
+  b_path_price : float array;  (* n_flows; computed once per step *)
+  b_loads : float array;  (* n_links *)
+  b_residual : float array;  (* n_flows *)
+  b_group_rates : float array;  (* n_groups *)
+  b_group_marginal : float array;  (* n_groups *)
+  b_inv_len : float array;  (* n_flows; 1 / |L(i)|, fixed per problem *)
   b_utils : Utility.t array;  (* n_groups; group utilities, flat copy *)
   b_maxmin_sparse : Maxmin.sparse_workspace;
 }
 
 type state = {
   prices : float array;
-  mutable rates : float array;
-  mutable weights : float array;
+  rates : float array;
+  weights : float array;
   mutable pool : Nf_util.Shard.t option;
   mutable diag : Diag.t option;
   buffers : buffers;
@@ -105,36 +101,19 @@ let make_buffers problem =
   {
     b_old_prices = Array.make n_links 0.;
     b_old_rates = Array.make n_flows 0.;
-    v_prices = Incidence.vec n_links;
-    v_rates = Incidence.vec n_flows;
-    v_weights = Incidence.vec n_flows;
-    v_path_price = Incidence.vec n_flows;
-    v_loads = Incidence.vec n_links;
-    v_residual = Incidence.vec n_flows;
-    v_group_rates = Incidence.vec n_groups;
-    v_group_marginal = Incidence.vec n_groups;
-    v_inv_len =
-      (let v = Incidence.vec n_flows in
-       for i = 0 to n_flows - 1 do
-         Bigarray.Array1.set v i (1. /. float_of_int (Problem.path_len problem i))
-       done;
-       v);
+    b_path_price = Array.make n_flows 0.;
+    b_loads = Array.make n_links 0.;
+    b_residual = Array.make n_flows 0.;
+    b_group_rates = Array.make n_groups 0.;
+    b_group_marginal = Array.make n_groups 0.;
+    b_inv_len =
+      Array.init n_flows (fun i -> 1. /. float_of_int (Problem.path_len problem i));
     b_utils = Array.init n_groups (Problem.group_utility problem);
     b_maxmin_sparse = Maxmin.sparse_workspace (Problem.incidence problem);
   }
 
-(* Equal-weight max-min via the sparse solver: the legacy flow-major scan
-   is O(rounds * nnz), which at 100k+ flows turns initialization into the
-   dominant cost. *)
 let equal_weight_rates problem =
-  Problem.sync_caps problem;
-  let inc = Problem.incidence problem in
-  let n_flows = Problem.n_flows problem in
-  let weights = Incidence.vec n_flows in
-  Incidence.vec_fill weights 1.;
-  let rates = Incidence.vec n_flows in
-  Maxmin.solve_sparse (Maxmin.sparse_workspace inc) inc ~weights ~rates;
-  Incidence.array_of_vec rates
+  Maxmin.solve_problem problem ~weights:(Array.make (Problem.n_flows problem) 1.)
 
 let seed_prices problem ~rates =
   (* p_l = max over flows on l of U'_g(y_g) / |L(i)|: the price each link
@@ -152,64 +131,28 @@ let seed_prices problem ~rates =
   done;
   prices
 
-let[@nf.hot] flow_weights_into problem ~prices ~prev_rates ~out =
-  for g = 0 to Problem.n_groups problem - 1 do
-    let members = Problem.group_members problem g in
-    let u = Problem.group_utility problem g in
-    if Array.length members = 1 then begin
-      let i = members.(0) in
-      let w = Utility.rate_from_price u (Problem.path_price problem ~prices i) in
-      (* Maxmin requires strictly positive weights. *)
-      out.(i) <- Float.max w 1e-30
-    end
-    else begin
-      (* §6.3: each sub-flow computes the group-level weight from its own
-         path price, then scales it by its share of the group throughput. *)
-      let y = ref 0. in
-      for k = 0 to Array.length members - 1 do
-        y := !y +. prev_rates.(members.(k))
-      done;
-      let y = !y in
-      let n = float_of_int (Array.length members) in
-      for k = 0 to Array.length members - 1 do
-        let i = members.(k) in
-        let total = Utility.rate_from_price u (Problem.path_price problem ~prices i) in
-        let share = if y > 1e-12 then prev_rates.(i) /. y else 1. /. n in
-        (* Keep a tiny floor so idle sub-flows can still probe their
-           path and ramp up quickly if capacity appears; small enough
-           that an optimally-unused sub-flow classifies as unused. *)
-        out.(i) <- Float.max (total *. Float.max share (1e-8 /. n)) 1e-30
-      done
-    end
-  done
-
-let flow_weights problem ~prices ~prev_rates =
-  let out = Array.make (Problem.n_flows problem) 0. in
-  flow_weights_into problem ~prices ~prev_rates ~out;
-  out
-
 (* ------------------------------------------------------------------ *)
-(* Sparse step pipeline. Same math as the dense [Nf_num.Reference], but
-   every sweep is a tight loop over the CSR/CSC index arrays of the
-   problem's [Incidence.t] with the working set in unboxed float64 vecs,
-   and the path prices are computed exactly once per step: the prices do
-   not change between the Eq. 7 weight computation and the Eq. 9 residual
-   computation, so both read [v_path_price]. Accumulation orders match
-   the dense code operand for operand; only the water-filling freeze
-   order differs (see [Maxmin.solve_sparse]). *)
+(* Sparse step pipeline. Same math as the dense reference kernels under
+   test/, but every sweep is a tight loop over the CSR/CSC index arrays
+   of the problem's [Incidence.t], and the path prices are computed
+   exactly once per step: the prices do not change between the Eq. 7
+   weight computation and the Eq. 9 residual computation, so both read
+   [b_path_price]. Accumulation orders match the dense code operand for
+   operand; only the water-filling freeze order differs (see
+   [Maxmin.solve_sparse]). *)
 
 let[@nf.hot] flow_weights_sparse (utils : Utility.t array) (inc : Incidence.t)
-    ~(path_prices : Incidence.vec) ~(prev_rates : Incidence.vec)
-    ~(out : Incidence.vec) =
+    ~(path_prices : float array) ~(prev_rates : float array)
+    ~(out : float array) =
   if inc.Incidence.singleton then
     (* All groups are singletons, and flows are numbered group-major, so
-       flow [i] is exactly group [i]: skip the group indirection. *)
+       flow [i] is exactly group [i]: skip the group indirection. The
+       1e-30 floor keeps every weight strictly positive, as the
+       water-fill requires. *)
     for i = 0 to inc.Incidence.n_flows - 1 do
       let u = Array.unsafe_get utils i in
-      let w =
-        urate_fast u (Bigarray.Array1.unsafe_get path_prices i)
-      in
-      Bigarray.Array1.unsafe_set out i (Float.max w 1e-30)
+      let w = urate_fast u (Array.unsafe_get path_prices i) in
+      Array.unsafe_set out i (Float.max w 1e-30)
     done
   else begin
     let grp_ptr = inc.Incidence.grp_ptr
@@ -220,11 +163,8 @@ let[@nf.hot] flow_weights_sparse (utils : Utility.t array) (inc : Incidence.t)
       let u = Array.unsafe_get utils g in
       if stop - start = 1 then begin
         let i = Array.unsafe_get grp_flows start in
-        let w =
-          urate_fast u
-            (Bigarray.Array1.unsafe_get path_prices i)
-        in
-        Bigarray.Array1.unsafe_set out i (Float.max w 1e-30)
+        let w = urate_fast u (Array.unsafe_get path_prices i) in
+        Array.unsafe_set out i (Float.max w 1e-30)
       end
       else begin
         (* §6.3: each sub-flow computes the group-level weight from its
@@ -234,21 +174,18 @@ let[@nf.hot] flow_weights_sparse (utils : Utility.t array) (inc : Incidence.t)
         for k = start to stop - 1 do
           y :=
             !y
-            +. Bigarray.Array1.unsafe_get prev_rates (Array.unsafe_get grp_flows k)
+            +. Array.unsafe_get prev_rates (Array.unsafe_get grp_flows k)
         done;
         let y = !y in
         let n = float_of_int (stop - start) in
         for k = start to stop - 1 do
           let i = Array.unsafe_get grp_flows k in
-          let total =
-            urate_fast u
-              (Bigarray.Array1.unsafe_get path_prices i)
-          in
+          let total = urate_fast u (Array.unsafe_get path_prices i) in
           let share =
-            if y > 1e-12 then Bigarray.Array1.unsafe_get prev_rates i /. y
+            if y > 1e-12 then Array.unsafe_get prev_rates i /. y
             else 1. /. n
           in
-          Bigarray.Array1.unsafe_set out i
+          Array.unsafe_set out i
             (Float.max (total *. Float.max share (1e-8 /. n)) 1e-30)
         done
       end
@@ -258,20 +195,19 @@ let[@nf.hot] flow_weights_sparse (utils : Utility.t array) (inc : Incidence.t)
 (* Eq. 9 residuals per flow: marginal utility of the flow's group at the
    fresh rates, minus the (pre-update) path price, normalized by path
    length. *)
-let[@nf.hot] residuals_sparse (inc : Incidence.t) bufs =
-  let rates = bufs.v_rates
-  and group_rates = bufs.v_group_rates
-  and group_marginal = bufs.v_group_marginal
-  and path_prices = bufs.v_path_price
-  and residual = bufs.v_residual
+let[@nf.hot] residuals_sparse (inc : Incidence.t) bufs ~(rates : float array) =
+  let group_rates = bufs.b_group_rates
+  and group_marginal = bufs.b_group_marginal
+  and path_prices = bufs.b_path_price
+  and residual = bufs.b_residual
   and utils = bufs.b_utils
-  and inv_len = bufs.v_inv_len in
+  and inv_len = bufs.b_inv_len in
   Incidence.group_rates_into inc ~rates ~out:group_rates;
   for g = 0 to inc.Incidence.n_groups - 1 do
     let u = Array.unsafe_get utils g in
-    Bigarray.Array1.unsafe_set group_marginal g
+    Array.unsafe_set group_marginal g
       (udv_fast u
-         (Float.max (Bigarray.Array1.unsafe_get group_rates g) 1e-12))
+         (Float.max (Array.unsafe_get group_rates g) 1e-12))
   done;
   let group_of_flow = inc.Incidence.group_of_flow in
   (* [* inv_len] instead of the legacy [/ len]: up to an ulp apart when
@@ -279,25 +215,24 @@ let[@nf.hot] residuals_sparse (inc : Incidence.t) bufs =
      tolerance, and it keeps a division off the per-flow path. *)
   for i = 0 to inc.Incidence.n_flows - 1 do
     let g = Array.unsafe_get group_of_flow i in
-    Bigarray.Array1.unsafe_set residual i
-      ((Bigarray.Array1.unsafe_get group_marginal g
-       -. Bigarray.Array1.unsafe_get path_prices i)
-      *. Bigarray.Array1.unsafe_get inv_len i)
+    Array.unsafe_set residual i
+      ((Array.unsafe_get group_marginal g
+       -. Array.unsafe_get path_prices i)
+      *. Array.unsafe_get inv_len i)
   done
 
 (* Eqs. 9-11 for links [lo, hi): the per-link work reads only flow-level
-   inputs ([v_rates], [v_residual], [v_loads]) and writes only
-   [v_prices.(l)], so results are independent of how the range is
+   inputs ([rates], [b_residual], [b_loads]) and writes only
+   [prices.(l)], so results are independent of how the range is
    chunked — the property the [Shard]-parallel dispatch depends on for
    [-j N] byte-identity. *)
-let[@nf.hot] price_links_range params (inc : Incidence.t) bufs lo hi =
+let[@nf.hot] price_links_range params (inc : Incidence.t) bufs
+    ~(rates : float array) ~(prices : float array) lo hi =
   let col_ptr = inc.Incidence.col_ptr
   and col_rows = inc.Incidence.col_rows
   and caps = inc.Incidence.caps in
-  let rates = bufs.v_rates
-  and residual = bufs.v_residual
-  and loads = bufs.v_loads
-  and prices = bufs.v_prices in
+  let residual = bufs.b_residual
+  and loads = bufs.b_loads in
   for l = lo to hi - 1 do
     let start = Array.unsafe_get col_ptr l in
     let stop = Array.unsafe_get col_ptr (l + 1) in
@@ -306,7 +241,7 @@ let[@nf.hot] price_links_range params (inc : Incidence.t) bufs lo hi =
        also keeps an optimally-unused sub-flow from dragging the price
        below the fixed point. *)
     let n_here = float_of_int (stop - start) in
-    let load = Bigarray.Array1.unsafe_get loads l in
+    let load = Array.unsafe_get loads l in
     let negligible = 1e-3 *. load in
     let min_res =
       match params.residual_agg with
@@ -314,29 +249,29 @@ let[@nf.hot] price_links_range params (inc : Incidence.t) bufs lo hi =
         let acc = ref infinity in
         for k = start to stop - 1 do
           let i = Array.unsafe_get col_rows k in
-          if Bigarray.Array1.unsafe_get rates i *. n_here >= negligible then
-            acc := Float.min !acc (Bigarray.Array1.unsafe_get residual i)
+          if Array.unsafe_get rates i *. n_here >= negligible then
+            acc := Float.min !acc (Array.unsafe_get residual i)
         done;
         !acc
       | Agg_mean ->
         let sum = ref 0. and count = ref 0 in
         for k = start to stop - 1 do
           let i = Array.unsafe_get col_rows k in
-          if Bigarray.Array1.unsafe_get rates i *. n_here >= negligible
+          if Array.unsafe_get rates i *. n_here >= negligible
           then begin
-            sum := !sum +. Bigarray.Array1.unsafe_get residual i;
+            sum := !sum +. Array.unsafe_get residual i;
             incr count
           end
         done;
         if !count = 0 then infinity else !sum /. float_of_int !count
     in
-    let p_old = Bigarray.Array1.unsafe_get prices l in
+    let p_old = Array.unsafe_get prices l in
     (* [Fcmp.clamp ~lo:0. ~hi:1.] spelled in-unit: the cross-library
        call boxes its float argument and result — one box per link per
        step under -opaque builds. Identical on the reachable domain
        ([load >= 0], [caps > 0], so [r] is never NaN). *)
     let utilization =
-      let r = load /. Bigarray.Array1.unsafe_get caps l in
+      let r = load /. Array.unsafe_get caps l in
       if r > 0. then if r <= 1. then r else 1. else 0.
     in
     let p_new =
@@ -345,28 +280,40 @@ let[@nf.hot] price_links_range params (inc : Incidence.t) bufs lo hi =
           (p_old +. min_res -. (params.eta *. (1. -. utilization) *. p_old))
       else Float.max 0. (p_old -. (params.eta *. (1. -. utilization) *. p_old))
     in
-    Bigarray.Array1.unsafe_set prices l
+    Array.unsafe_set prices l
       ((params.beta *. p_old) +. ((1. -. params.beta) *. p_new))
   done
+
+(* Eqs. 7-8 in place: path prices (kept in [b_path_price] for the Eq. 9
+   residuals), the Eq. 7 weights of the state's prices (multipath groups
+   split by the state's current rates), then the max-min rates of those
+   weights. *)
+let[@nf.hot] weights_and_rates inc state =
+  let bufs = state.buffers in
+  Incidence.path_prices_into inc ~prices:state.prices ~out:bufs.b_path_price;
+  flow_weights_sparse bufs.b_utils inc ~path_prices:bufs.b_path_price
+    ~prev_rates:state.rates ~out:state.weights;
+  Maxmin.solve_sparse bufs.b_maxmin_sparse inc ~weights:state.weights
+    ~rates:state.rates
 
 (* Not [@nf.hot]: the sharded dispatch allocates one closure per call,
    which is deliberate — the tight loops above are the hot bodies. *)
 let price_update_sparse problem params state =
   let inc = Problem.incidence problem in
-  let bufs = state.buffers in
-  Incidence.link_loads_into inc ~rates:bufs.v_rates ~out:bufs.v_loads;
-  residuals_sparse inc bufs;
+  let bufs = state.buffers and rates = state.rates and prices = state.prices in
+  Incidence.link_loads_into inc ~rates ~out:bufs.b_loads;
+  residuals_sparse inc bufs ~rates;
   match state.pool with
-  | None -> price_links_range params inc bufs 0 inc.Incidence.n_links
+  | None -> price_links_range params inc bufs ~rates ~prices 0 inc.Incidence.n_links
   | Some pool -> (
     match state.diag with
     | None ->
       Nf_util.Shard.run pool ~n:inc.Incidence.n_links (fun lo hi ->
-          price_links_range params inc bufs lo hi)
+          price_links_range params inc bufs ~rates ~prices lo hi)
     | Some d ->
       Nf_util.Shard.run ~timings:(Diag.shard_timings d) pool
         ~n:inc.Incidence.n_links (fun lo hi ->
-          price_links_range params inc bufs lo hi))
+          price_links_range params inc bufs ~rates ~prices lo hi))
 
 (* Auto-attach diagnostics when the process-wide [--diag] config is
    active; otherwise states start undiagnosed ([set_diag] can attach
@@ -393,11 +340,10 @@ let init_with_prices ?pool problem ~prices =
   if Array.length prices <> Problem.n_links problem then
     invalid_arg "Xwi_core.init_with_prices: prices length";
   let gen = Problem.generation problem in
-  let rates = equal_weight_rates problem in
   let state =
     {
       prices = Array.copy prices;
-      rates;
+      rates = equal_weight_rates problem;
       weights = Array.make (Problem.n_flows problem) 1.;
       pool;
       diag = attach_diag problem;
@@ -405,15 +351,7 @@ let init_with_prices ?pool problem ~prices =
       problem_gen = gen;
     }
   in
-  flow_weights_into problem ~prices:state.prices ~prev_rates:state.rates
-    ~out:state.weights;
-  let bufs = state.buffers in
-  Problem.sync_caps problem;
-  let inc = Problem.incidence problem in
-  Incidence.vec_of_array_into state.weights bufs.v_weights;
-  Maxmin.solve_sparse bufs.b_maxmin_sparse inc ~weights:bufs.v_weights
-    ~rates:bufs.v_rates;
-  Incidence.vec_to_array bufs.v_rates state.rates;
+  weights_and_rates (Problem.incidence problem) state;
   state
 
 (* Warm restart across a problem delta: keep the converged per-link price
@@ -434,39 +372,24 @@ let set_diag state diag = state.diag <- diag
 
 let diag state = state.diag
 
-(* One iteration over the sparse working set: load the mirrors into the
-   vecs, compute path prices once, weights, max-min rates, the (possibly
-   domain-sharded) price update, then store the vecs back into the public
-   mirror arrays — which are updated in place, so live views (e.g.
+(* One iteration, in place on the state's own arrays: path prices once,
+   weights, max-min rates, then the (possibly domain-sharded) price
+   update. The arrays are never replaced, so live views (e.g.
    [Fluid_xwi.rates_view]) stay valid. Steady-state stepping allocates
    nothing beyond the sharding dispatch closure. *)
 let step problem params state =
   if not (Int.equal (Problem.generation problem) state.problem_gen) then
     invalid_arg
       "Xwi_core.step: problem topology changed since init; call Xwi_core.resize";
-  let inc = Problem.incidence problem in
-  let bufs = state.buffers in
   (match state.diag with
   | None -> ()
   | Some d -> Diag.begin_iter d ~prices:state.prices ~rates:state.rates);
-  (* Dynamic experiments mutate capacities between iterations; the sync
-     is generation-gated, so an unchanged run pays one int compare. *)
-  Problem.sync_caps problem;
-  Incidence.vec_of_array_into state.prices bufs.v_prices;
-  Incidence.vec_of_array_into state.rates bufs.v_rates;
-  Incidence.path_prices_into inc ~prices:bufs.v_prices ~out:bufs.v_path_price;
-  flow_weights_sparse bufs.b_utils inc ~path_prices:bufs.v_path_price
-    ~prev_rates:bufs.v_rates ~out:bufs.v_weights;
-  Maxmin.solve_sparse bufs.b_maxmin_sparse inc ~weights:bufs.v_weights
-    ~rates:bufs.v_rates;
+  weights_and_rates (Problem.incidence problem) state;
   price_update_sparse problem params state;
-  Incidence.vec_to_array bufs.v_prices state.prices;
-  Incidence.vec_to_array bufs.v_rates state.rates;
-  Incidence.vec_to_array bufs.v_weights state.weights;
   match state.diag with
   | None -> ()
   | Some d ->
-    let ws = bufs.b_maxmin_sparse in
+    let ws = state.buffers.b_maxmin_sparse in
     let shard_chunks =
       match state.pool with
       | None -> 0

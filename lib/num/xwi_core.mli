@@ -34,8 +34,8 @@ type buffers
 
 type state = {
   prices : float array;  (** per link *)
-  mutable rates : float array;  (** per flow; last max-min allocation *)
-  mutable weights : float array;  (** per flow; last Eq. 7 weights *)
+  rates : float array;  (** per flow; last max-min allocation *)
+  weights : float array;  (** per flow; last Eq. 7 weights *)
   mutable pool : Nf_util.Shard.t option;
       (** when set, {!step}'s per-link price update is sharded across the
           pool's domains; results are byte-identical for every job count *)
@@ -59,8 +59,21 @@ val init : ?pool:Nf_util.Shard.t -> Problem.t -> state
 
 val init_with_prices : ?pool:Nf_util.Shard.t -> Problem.t -> prices:float array -> state
 (** Start from given prices (e.g. carried over across a flow-arrival event
-    in dynamic scenarios); rates start at the induced allocation.
-    Auto-attaches a {!Diag.t} like {!init}. *)
+    in dynamic scenarios); weights are the Eq. 7 weights of those prices
+    (multipath groups split by the {!equal_weight_rates} shares) and rates
+    the max-min allocation they induce. Auto-attaches a {!Diag.t} like
+    {!init}. *)
+
+val equal_weight_rates : Problem.t -> float array
+(** The max-min allocation with every sub-flow at weight 1: the
+    allocation the seeds below are computed at. *)
+
+val seed_prices : Problem.t -> rates:float array -> float array
+(** [p_l = max] over flows [i] on [l] of [U'_g(y_g) / |L(i)|] at the
+    given rates: the price each link would carry if it were the only
+    bottleneck of its steepest flow. At {!equal_weight_rates} this is
+    {!init}'s seed; other solvers start from it too, so comparisons are
+    about dynamics, not initialization. *)
 
 val resize : ?pool:Nf_util.Shard.t -> Problem.t -> state -> state
 (** Warm restart after a {!Problem} delta (flow arrivals/departures):
@@ -85,25 +98,14 @@ val set_diag : state -> Diag.t option -> unit
 
 val diag : state -> Diag.t option
 
-val flow_weights : Problem.t -> prices:float array -> prev_rates:float array -> float array
-(** Eq. 7 plus the §6.3 multipath split; all weights strictly positive. *)
-
-val flow_weights_into :
-  Problem.t ->
-  prices:float array ->
-  prev_rates:float array ->
-  out:float array ->
-  unit
-(** Allocation-free {!flow_weights} into a caller array of length
-    [n_flows]. *)
-
 val step : Problem.t -> params -> state -> unit
 (** One full iteration over the sparse CSR/CSC working set: path prices
     (computed once), Eq. 7 weights, max-min rates, Eqs. 9–11 price
-    update. Everything is written in place into the state's arrays and
-    scratch buffers — steady-state stepping performs no heap allocation
-    beyond the sharding dispatch. Capacity changes made through
-    {!Problem.caps} are picked up at the start of each step. *)
+    update. Everything is written in place into the state's own arrays
+    (no copies) and scratch buffers — steady-state stepping performs no
+    heap allocation beyond the sharding dispatch. The incidence shares
+    {!Problem.caps}, so a capacity written there before the step is the
+    one it uses. *)
 
 type run = { iterations : int; converged : bool }
 

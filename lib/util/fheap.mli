@@ -3,11 +3,11 @@
     The allocation-free priority queue under the two hottest paths of the
     simulator: the discrete-event queue ([Nf_engine.Sim], keyed by event
     time) and the STFQ switch queues ([Nf_sim.Queue_disc], keyed by
-    virtual start tag). Compared with the generic {!Heap} it stores keys
-    in an unboxed [float array] (plus parallel [int] arrays) instead of
-    boxed records, compares with raw [<] on floats instead of a [cmp]
-    closure, and exposes field readers ([top_key], [top], …) so
-    steady-state push/peek/pop allocates nothing (no [Some], no record).
+    virtual start tag). It stores keys in an unboxed [float array] (plus
+    parallel [int] arrays) instead of boxed records, compares with raw
+    [<] on floats instead of a [cmp] closure, and exposes field readers
+    ([top_key], [top], …) so steady-state push/peek/pop allocates nothing
+    (no [Some], no record).
 
     {b Stationary payloads.} Sifts move only the unboxed arrays — keys,
     sequence numbers, [aux] and an [int] slot index. Payloads stay where

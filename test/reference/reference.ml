@@ -4,6 +4,8 @@
    here is on a hot path and everything may allocate; clarity and
    faithfulness to the original code win over speed. *)
 
+open Nf_num
+
 let path_price problem ~prices i =
   Array.fold_left
     (fun acc lid -> acc +. prices.(lid))
@@ -107,12 +109,12 @@ let price_update problem (params : Xwi_core.params) ~prices ~rates =
   done;
   out
 
-let maxmin problem ~weights = Maxmin.solve_problem problem ~weights
+let maxmin problem ~weights = Maxmin_dense.solve_problem problem ~weights
 
 let step problem params ~prices ~rates ~weights =
   let w = flow_weights problem ~prices ~prev_rates:rates in
   Array.blit w 0 weights 0 (Array.length w);
-  let x = (maxmin problem ~weights).Maxmin.rates in
+  let x = (maxmin problem ~weights).Maxmin_dense.rates in
   Array.blit x 0 rates 0 (Array.length x);
   let p = price_update problem params ~prices ~rates in
   Array.blit p 0 prices 0 (Array.length p)

@@ -7,6 +7,8 @@
     called from production paths — qcheck properties compare the sparse
     results against them (see test/test_num.ml). *)
 
+open Nf_num
+
 val path_price : Problem.t -> prices:float array -> int -> float
 
 val group_rate : Problem.t -> rates:float array -> int -> float
@@ -21,8 +23,8 @@ val price_update :
   float array
 (** One synchronized Eqs. 9–11 update; returns the new prices. *)
 
-val maxmin : Problem.t -> weights:float array -> Maxmin.result
-(** The array-API water-filling (itself the legacy flow-major scan). *)
+val maxmin : Problem.t -> weights:float array -> Maxmin_dense.result
+(** The flow-major array-API water-filling ({!Maxmin_dense}). *)
 
 val step :
   Problem.t ->

@@ -4,6 +4,7 @@
 module Utility = Nf_num.Utility
 module Problem = Nf_num.Problem
 module Maxmin = Nf_num.Maxmin
+module Maxmin_dense = Nf_num_reference.Maxmin_dense
 module Bf = Nf_num.Bandwidth_function
 module Kkt = Nf_num.Kkt
 module Xwi = Nf_num.Xwi_core
@@ -118,50 +119,51 @@ let prop_value_increasing =
       u.Utility.value (x *. factor) > u.Utility.value x)
 
 (* ------------------------------------------------------------------ *)
-(* Weighted max-min *)
+(* Weighted max-min: the dense test oracle (the sparse kernel is checked
+   against it under "sparse") *)
 
 let single_link_paths n = Array.make n [| 0 |]
 
 let test_maxmin_single_link_equal () =
   let r =
-    Maxmin.solve ~caps:[| 10. |] ~paths:(single_link_paths 4)
+    Maxmin_dense.solve ~caps:[| 10. |] ~paths:(single_link_paths 4)
       ~weights:[| 1.; 1.; 1.; 1. |]
   in
-  check_rates "equal split" [| 2.5; 2.5; 2.5; 2.5 |] r.Maxmin.rates;
-  Array.iter (fun b -> Alcotest.(check int) "bottleneck" 0 b) r.Maxmin.bottleneck
+  check_rates "equal split" [| 2.5; 2.5; 2.5; 2.5 |] r.Maxmin_dense.rates;
+  Array.iter (fun b -> Alcotest.(check int) "bottleneck" 0 b) r.Maxmin_dense.bottleneck
 
 let test_maxmin_single_link_weighted () =
   let r =
-    Maxmin.solve ~caps:[| 10. |] ~paths:(single_link_paths 2) ~weights:[| 1.; 3. |]
+    Maxmin_dense.solve ~caps:[| 10. |] ~paths:(single_link_paths 2) ~weights:[| 1.; 3. |]
   in
-  check_rates "weighted split" [| 2.5; 7.5 |] r.Maxmin.rates;
-  check_close "fair share" 2.5 r.Maxmin.fair_share.(0);
-  check_close "fair share equal across flows" r.Maxmin.fair_share.(0)
-    r.Maxmin.fair_share.(1)
+  check_rates "weighted split" [| 2.5; 7.5 |] r.Maxmin_dense.rates;
+  check_close "fair share" 2.5 r.Maxmin_dense.fair_share.(0);
+  check_close "fair share equal across flows" r.Maxmin_dense.fair_share.(0)
+    r.Maxmin_dense.fair_share.(1)
 
 let test_maxmin_two_bottlenecks () =
   (* l0: cap 10 (flows A, B); l1: cap 4 (flows A, C); equal weights.
      A and C freeze at 2 on l1; B then takes 8 on l0. *)
   let paths = [| [| 0; 1 |]; [| 0 |]; [| 1 |] |] in
-  let r = Maxmin.solve ~caps:[| 10.; 4. |] ~paths ~weights:[| 1.; 1.; 1. |] in
-  check_rates "multi-bottleneck" [| 2.; 8.; 2. |] r.Maxmin.rates;
-  Alcotest.(check int) "A bottleneck is l1" 1 r.Maxmin.bottleneck.(0);
-  Alcotest.(check int) "B bottleneck is l0" 0 r.Maxmin.bottleneck.(1)
+  let r = Maxmin_dense.solve ~caps:[| 10.; 4. |] ~paths ~weights:[| 1.; 1.; 1. |] in
+  check_rates "multi-bottleneck" [| 2.; 8.; 2. |] r.Maxmin_dense.rates;
+  Alcotest.(check int) "A bottleneck is l1" 1 r.Maxmin_dense.bottleneck.(0);
+  Alcotest.(check int) "B bottleneck is l0" 0 r.Maxmin_dense.bottleneck.(1)
 
 let test_maxmin_parking_lot () =
   (* 3 chain links cap 9; long flow over all, one local flow per link. *)
   let paths = [| [| 0; 1; 2 |]; [| 0 |]; [| 1 |]; [| 2 |] |] in
   let r =
-    Maxmin.solve ~caps:[| 9.; 9.; 9. |] ~paths ~weights:[| 1.; 1.; 1.; 1. |]
+    Maxmin_dense.solve ~caps:[| 9.; 9.; 9. |] ~paths ~weights:[| 1.; 1.; 1.; 1. |]
   in
-  check_rates "parking lot" [| 4.5; 4.5; 4.5; 4.5 |] r.Maxmin.rates
+  check_rates "parking lot" [| 4.5; 4.5; 4.5; 4.5 |] r.Maxmin_dense.rates
 
 let test_maxmin_validation () =
   Alcotest.check_raises "zero weight"
-    (Invalid_argument "Maxmin.solve: non-positive weight") (fun () ->
-      ignore (Maxmin.solve ~caps:[| 1. |] ~paths:(single_link_paths 1) ~weights:[| 0. |]));
-  Alcotest.check_raises "empty path" (Invalid_argument "Maxmin.solve: empty path")
-    (fun () -> ignore (Maxmin.solve ~caps:[| 1. |] ~paths:[| [||] |] ~weights:[| 1. |]))
+    (Invalid_argument "Maxmin_dense.solve: non-positive weight") (fun () ->
+      ignore (Maxmin_dense.solve ~caps:[| 1. |] ~paths:(single_link_paths 1) ~weights:[| 0. |]));
+  Alcotest.check_raises "empty path" (Invalid_argument "Maxmin_dense.solve: empty path")
+    (fun () -> ignore (Maxmin_dense.solve ~caps:[| 1. |] ~paths:[| [||] |] ~weights:[| 1. |]))
 
 let random_single_path_instance rng =
   let n_links = 2 + Rng.int rng 4 in
@@ -182,8 +184,8 @@ let prop_maxmin_is_maxmin =
     (fun seed ->
       let rng = Rng.create ~seed in
       let caps, paths, weights = random_single_path_instance rng in
-      let r = Maxmin.solve ~caps ~paths ~weights in
-      Maxmin.is_maxmin ~caps ~paths ~weights r.Maxmin.rates)
+      let r = Maxmin_dense.solve ~caps ~paths ~weights in
+      Maxmin_dense.is_maxmin ~caps ~paths ~weights r.Maxmin_dense.rates)
 
 let prop_maxmin_feasible_and_positive =
   QCheck.Test.make ~name:"water-filling is feasible with positive rates"
@@ -191,12 +193,12 @@ let prop_maxmin_feasible_and_positive =
     (fun seed ->
       let rng = Rng.create ~seed in
       let caps, paths, weights = random_single_path_instance rng in
-      let r = Maxmin.solve ~caps ~paths ~weights in
+      let r = Maxmin_dense.solve ~caps ~paths ~weights in
       let loads = Array.make (Array.length caps) 0. in
       Array.iteri
-        (fun i p -> Array.iter (fun l -> loads.(l) <- loads.(l) +. r.Maxmin.rates.(i)) p)
+        (fun i p -> Array.iter (fun l -> loads.(l) <- loads.(l) +. r.Maxmin_dense.rates.(i)) p)
         paths;
-      Array.for_all (fun x -> x > 0.) r.Maxmin.rates
+      Array.for_all (fun x -> x > 0.) r.Maxmin_dense.rates
       && Array.for_all2 (fun load cap -> load <= cap *. (1. +. 1e-9)) loads caps)
 
 let prop_maxmin_scale_invariant =
@@ -205,9 +207,9 @@ let prop_maxmin_scale_invariant =
     (fun (seed, k) ->
       let rng = Rng.create ~seed in
       let caps, paths, weights = random_single_path_instance rng in
-      let r1 = Maxmin.solve ~caps ~paths ~weights in
-      let r2 = Maxmin.solve ~caps ~paths ~weights:(Array.map (fun w -> w *. k) weights) in
-      Array.for_all2 (Fcmp.rel_eq ~rel:1e-6) r1.Maxmin.rates r2.Maxmin.rates)
+      let r1 = Maxmin_dense.solve ~caps ~paths ~weights in
+      let r2 = Maxmin_dense.solve ~caps ~paths ~weights:(Array.map (fun w -> w *. k) weights) in
+      Array.for_all2 (Fcmp.rel_eq ~rel:1e-6) r1.Maxmin_dense.rates r2.Maxmin_dense.rates)
 
 (* ------------------------------------------------------------------ *)
 (* Bandwidth functions *)
@@ -538,7 +540,7 @@ let test_problem_validation () =
 (* Sparse CSR/CSC core vs the legacy reference kernels *)
 
 module Incidence = Nf_num.Incidence
-module Reference = Nf_num.Reference
+module Reference = Nf_num_reference.Reference
 module Shard = Nf_util.Shard
 
 let test_incidence_structure () =
@@ -564,7 +566,9 @@ let test_incidence_structure () =
     "group_of_flow" [| 0; 0; 1 |] inc.Incidence.group_of_flow;
   Alcotest.(check bool) "multipath => not singleton" false
     inc.Incidence.singleton;
-  check_close "caps mirror" 2. (Bigarray.Array1.get inc.Incidence.caps 1)
+  Alcotest.(check bool) "caps shared with the problem" true
+    (inc.Incidence.caps == Problem.caps p);
+  check_close "caps" 2. inc.Incidence.caps.(1)
 
 (* Random mixed single/multipath problem with varied alpha-fair
    utilities: the adversary for the sparse-vs-reference properties. *)
@@ -600,12 +604,9 @@ let prop_sparse_maxmin_matches_reference =
       let legacy = Reference.maxmin p ~weights in
       let inc = Problem.incidence p in
       let ws = Maxmin.sparse_workspace inc in
-      let w = Incidence.vec_of_array weights in
-      let rates = Incidence.vec n_flows in
-      Maxmin.solve_sparse ws inc ~weights:w ~rates;
       let sparse = Array.make n_flows 0. in
-      Incidence.vec_to_array rates sparse;
-      Array.for_all2 (Fcmp.rel_eq ~rel:1e-9) legacy.Maxmin.rates sparse)
+      Maxmin.solve_sparse ws inc ~weights ~rates:sparse;
+      Array.for_all2 (Fcmp.rel_eq ~rel:1e-9) legacy.Maxmin_dense.rates sparse)
 
 let prop_sparse_step_matches_reference =
   QCheck.Test.make ~name:"sparse xWI step matches the legacy step within 1e-9"
@@ -634,6 +635,28 @@ let bits_equal a b =
   && Array.for_all2
        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
        a b
+
+(* The init path computes its Eq. 7 weights with the sparse kernel the
+   step uses; they must be the reference weights bit for bit (multipath
+   split by the equal-weight rates), and the rates the allocation those
+   weights induce. *)
+let prop_init_weights_match_reference =
+  QCheck.Test.make
+    ~name:"init_with_prices weights and rates match the reference"
+    ~count:200 QCheck.small_int
+    (fun seed ->
+      let rng = Rng.create ~seed:(seed + 6000) in
+      let p = random_problem rng in
+      let prices =
+        Array.init (Problem.n_links p) (fun _ -> Rng.uniform rng ~lo:0.01 ~hi:2.)
+      in
+      let state = Xwi.init_with_prices p ~prices in
+      let weights =
+        Reference.flow_weights p ~prices ~prev_rates:(Xwi.equal_weight_rates p)
+      in
+      let rates = (Reference.maxmin p ~weights).Maxmin_dense.rates in
+      bits_equal weights state.Xwi.weights
+      && Array.for_all2 (Fcmp.rel_eq ~rel:1e-9) rates state.Xwi.rates)
 
 let prop_sharded_prices_bit_identical =
   QCheck.Test.make ~name:"-j 4 price update is byte-identical to -j 1"
@@ -781,10 +804,7 @@ let test_delta_caps_midrun () =
   Alcotest.(check bool) "converged at 10G" true run.Xwi.converged;
   check_rates ~rel:1e-6 "equal shares of 10" [| 5.; 5. |] state.Xwi.rates;
   let topo_gen = Problem.generation p in
-  let cap_gen = Problem.cap_generation p in
   Problem.set_cap p 0 20.;
-  Alcotest.(check bool) "cap generation bumped" false
-    (Int.equal cap_gen (Problem.cap_generation p));
   Alcotest.(check bool) "topology generation unchanged" true
     (Int.equal topo_gen (Problem.generation p));
   let run = Xwi.run_until_kkt ~tol:1e-9 ~check_every:1 p Xwi.default_params state in
@@ -792,12 +812,24 @@ let test_delta_caps_midrun () =
   check_rates ~rel:1e-6 "equal shares of 20" [| 10.; 10. |] state.Xwi.rates;
   Alcotest.(check bool) "warm cap change re-solve satisfies KKT" true
     (Kkt.worst (Kkt.check p ~rates:state.Xwi.rates ~prices:state.Xwi.prices)
-    < 1e-8);
-  (* Direct writes into [caps] work too, via touch_caps. *)
-  (Problem.caps p).(0) <- 10.;
-  Problem.touch_caps p;
+    < 1e-8)
+
+let test_delta_raw_cap_write () =
+  (* The incidence shares [Problem.caps], so a raw write with no
+     announcement is what the next solve sees. *)
+  let u = Utility.proportional_fair () in
+  let p =
+    Problem.create ~caps:[| 10.; 10. |]
+      ~groups:[ Problem.single_path u [| 0 |]; Problem.single_path u [| 0; 1 |] ]
+  in
+  let state = Xwi.init p in
   ignore (Xwi.run_until_kkt ~tol:1e-9 ~check_every:1 p Xwi.default_params state);
-  check_rates ~rel:1e-6 "back to shares of 10" [| 5.; 5. |] state.Xwi.rates
+  check_rates ~rel:1e-6 "equal shares of 10" [| 5.; 5. |] state.Xwi.rates;
+  (Problem.caps p).(1) <- 2.;
+  let run = Xwi.run_until_kkt ~tol:1e-9 ~check_every:1 p Xwi.default_params state in
+  Alcotest.(check bool) "re-converged" true run.Xwi.converged;
+  check_rates ~rel:1e-6 "long flow capped by the shrunk link" [| 8.; 2. |]
+    state.Xwi.rates
 
 (* A random single-link-id path over the problem's links, for churn
    properties. *)
@@ -942,8 +974,8 @@ let test_maxmin_sparse_stats () =
   let inc =
     Incidence.create ~caps ~paths ~group_of_flow:[| 0; 1; 2 |] ~n_groups:3
   in
-  let weights = Incidence.vec_of_array [| 1.; 1.; 1. |] in
-  let rates = Incidence.vec 3 in
+  let weights = [| 1.; 1.; 1. |] in
+  let rates = Array.make 3 0. in
   let ws = Maxmin.sparse_workspace inc in
   Maxmin.solve_sparse ws inc ~weights ~rates;
   Alcotest.(check bool) "rounds >= 1" true (Maxmin.sparse_rounds ws >= 1);
@@ -1161,6 +1193,7 @@ let () =
           quick "capacity change mid-run (Fig. 10 path)" test_delta_caps_midrun;
           qcheck prop_warm_churn_matches_cold;
           qcheck prop_kkt_after_random_churn;
+          quick "raw capacity write seen by the next solve" test_delta_raw_cap_write;
         ] );
       ( "sparse",
         [
@@ -1169,6 +1202,7 @@ let () =
           qcheck prop_sparse_step_matches_reference;
           qcheck prop_sharded_prices_bit_identical;
           quick "long-run shard byte-identity" test_sharded_long_run_bit_identical;
+          qcheck prop_init_weights_match_reference;
         ] );
       ( "diag",
         [

@@ -1,7 +1,6 @@
-(* Tests for nf_util: heap, EWMA, RNG, stats, piecewise functions,
+(* Tests for nf_util: Fheap, EWMA, RNG, stats, piecewise functions,
    time series. *)
 
-module Heap = Nf_util.Heap
 module Ewma = Nf_util.Ewma
 module Rng = Nf_util.Rng
 module Stats = Nf_util.Stats
@@ -21,78 +20,19 @@ let check_close ?(eps = 1e-9) what expected actual =
     Alcotest.failf "%s: expected %.12g, got %.12g" what expected actual
 
 (* ------------------------------------------------------------------ *)
-(* Heap *)
-
-let test_heap_basic () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Heap.push h 5;
-  Heap.push h 1;
-  Heap.push h 3;
-  Alcotest.(check int) "length" 3 (Heap.length h);
-  Alcotest.(check (option int)) "peek" (Some 1) (Heap.peek h);
-  Alcotest.(check (option int)) "pop1" (Some 1) (Heap.pop h);
-  Alcotest.(check (option int)) "pop2" (Some 3) (Heap.pop h);
-  Alcotest.(check (option int)) "pop3" (Some 5) (Heap.pop h);
-  Alcotest.(check (option int)) "pop empty" None (Heap.pop h)
-
-let test_heap_pop_exn_empty () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.check_raises "pop_exn" (Invalid_argument "Heap.pop_exn: empty heap")
-    (fun () -> ignore (Heap.pop_exn h : int))
-
-let test_heap_clear () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 3; 1; 2 ];
-  Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Heap.is_empty h);
-  Heap.push h 42;
-  Alcotest.(check (option int)) "usable after clear" (Some 42) (Heap.pop h)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap sorts like List.sort" ~count:300
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      Heap.to_sorted_list h = List.sort compare xs)
-
-let prop_heap_interleaved =
-  QCheck.Test.make ~name:"heap pop is monotone under interleaving" ~count:200
-    QCheck.(list (pair bool small_int))
-    (fun ops ->
-      let h = Heap.create ~cmp:compare in
-      let popped = ref [] in
-      List.iter
-        (fun (is_push, v) ->
-          if is_push then Heap.push h v
-          else match Heap.pop h with
-            | Some x -> popped := x :: !popped
-            | None -> ())
-        ops;
-      (* Drain the rest; within any run after pushes stop, pops are sorted. *)
-      let rec drain () =
-        match Heap.pop h with
-        | Some x ->
-          popped := x :: !popped;
-          drain ()
-        | None -> ()
-      in
-      let before_drain = List.length !popped in
-      drain ();
-      let drained = List.filteri (fun i _ -> i < List.length !popped - before_drain)
-          (List.rev !popped) in
-      ignore drained;
-      (* The final drain must come out sorted. *)
-      let tail =
-        List.filteri (fun i _ -> i >= before_drain) (List.rev !popped)
-      in
-      tail = List.sort compare tail)
-
-(* ------------------------------------------------------------------ *)
 (* Fheap (the SoA float-keyed heap under the event engine and STFQ) *)
 
 module Fheap = Nf_util.Fheap
+
+(* Reference model for the Fheap properties: a list sorted by (key, push
+   seq). Pushes carry increasing seqs, so a push goes after every element
+   whose key is not greater. *)
+let model_push model ((key, _) as x) =
+  let rec go = function
+    | ((k, _) as y) :: rest when k <= key -> y :: go rest
+    | rest -> x :: rest
+  in
+  go model
 
 let test_fheap_basic () =
   let h = Fheap.create ~capacity:2 ~dummy:(-1) () in
@@ -136,40 +76,34 @@ let test_fheap_clear_and_growth () =
   Alcotest.(check int) "usable after clear" 9 (Fheap.pop h)
 
 (* The correctness contract of the event-engine swap: Fheap pops in
-   exactly the order of the reference heap ordered by (key, push seq) —
+   exactly the order of the reference model ordered by (key, push seq) —
    keys drawn from 8 values so every list has exact-tie groups. *)
 let prop_fheap_matches_reference =
   QCheck.Test.make ~name:"fheap pops in reference (key, seq) order" ~count:300
     QCheck.(list (int_bound 7))
     (fun keys ->
       let h = Fheap.create ~capacity:4 ~dummy:(-1) () in
-      let ref_heap =
-        Heap.create ~cmp:(fun (ka, sa) (kb, sb) ->
-            match compare (ka : float) kb with 0 -> compare sa sb | c -> c)
-      in
+      let model = ref [] in
       List.iteri
         (fun i k ->
           let key = float_of_int k /. 4. in
           Fheap.push h ~key ~aux:k i;
-          Heap.push ref_heap (key, i))
+          model := model_push !model (key, i))
         keys;
-      let ok = ref true in
-      let rec drain () =
-        match Heap.pop ref_heap with
-        | None -> if not (Fheap.is_empty h) then ok := false
-        | Some (key, seq) ->
-          if Fheap.is_empty h then ok := false
-          else if Fheap.top_key h <> key then ok := false
-          else if Fheap.pop h <> seq then ok := false
-          else drain ()
+      let rec drain = function
+        | [] -> Fheap.is_empty h
+        | (key, seq) :: rest ->
+          (not (Fheap.is_empty h))
+          && Fheap.top_key h = key
+          && Fheap.pop h = seq
+          && drain rest
       in
-      drain ();
-      !ok)
+      drain !model)
 
 (* Slot reuse: pushes, drops and clears interleaved across capacity
    growth (the heap starts at capacity 1), so freed payload slots are
    handed out again while other elements sit in the heap. Every popped
-   (key, payload) must match the reference heap ordered by (key, push
+   (key, payload) must match the reference model ordered by (key, push
    seq); payloads are boxed strings so a mixed-up slot shows. *)
 let prop_fheap_slot_reuse =
   let op =
@@ -185,16 +119,13 @@ let prop_fheap_slot_reuse =
     (QCheck.list op)
     (fun ops ->
       let h = Fheap.create ~capacity:1 ~dummy:"" () in
-      let ref_heap =
-        Heap.create ~cmp:(fun (ka, sa) (kb, sb) ->
-            match compare (ka : float) kb with 0 -> compare sa sb | c -> c)
-      in
+      let model = ref [] in
       let seq = ref 0 in
       let payload i = "p" ^ string_of_int i in
       let same_top () =
-        match Heap.peek ref_heap with
-        | None -> Fheap.is_empty h
-        | Some (key, i) ->
+        match !model with
+        | [] -> Fheap.is_empty h
+        | (key, i) :: _ ->
           (not (Fheap.is_empty h))
           && Fheap.top_key h = key
           && String.equal (Fheap.top h) (payload i)
@@ -203,29 +134,29 @@ let prop_fheap_slot_reuse =
         | `Push k ->
           let key = float_of_int k /. 4. in
           Fheap.push h ~key ~aux:k (payload !seq);
-          Heap.push ref_heap (key, !seq);
+          model := model_push !model (key, !seq);
           incr seq;
           ok
         | `Drop ->
           let ok = ok && same_top () in
           if not (Fheap.is_empty h) then begin
             Fheap.drop h;
-            ignore (Heap.pop ref_heap)
+            model := List.tl !model
           end;
           ok
         | `Clear ->
           Fheap.clear h;
-          Heap.clear ref_heap;
+          model := [];
           ok
       in
       let ok = List.fold_left step true ops in
       let rec drain ok =
-        if not (ok && same_top () && Fheap.length h = Heap.length ref_heap)
+        if not (ok && same_top () && Fheap.length h = List.length !model)
         then false
         else if Fheap.is_empty h then true
         else begin
           Fheap.drop h;
-          ignore (Heap.pop ref_heap);
+          model := List.tl !model;
           drain ok
         end
       in
@@ -1063,14 +994,6 @@ let qcheck = QCheck_alcotest.to_alcotest
 let () =
   Alcotest.run "nf_util"
     [
-      ( "heap",
-        [
-          quick "basic order" test_heap_basic;
-          quick "pop_exn on empty" test_heap_pop_exn_empty;
-          quick "clear" test_heap_clear;
-          qcheck prop_heap_sorts;
-          qcheck prop_heap_interleaved;
-        ] );
       ( "fheap",
         [
           quick "basic order" test_fheap_basic;

@@ -3,7 +3,6 @@ type t = {
   float_strict : string -> bool;
   hashtbl_ordered : string -> bool;
   require_mli : string -> bool;
-  copy_exempt : string -> bool;
   serve_loop : string -> bool;
 }
 
@@ -54,10 +53,6 @@ let repo_default =
        is sorted in place. *)
     hashtbl_ordered = (fun p -> has_prefix ~prefix:"lib/" (normalize p));
     require_mli = (fun p -> has_prefix ~prefix:"lib/" (normalize p));
-    (* The legacy oracle is the one module allowed to keep calling the
-       copying link_loads/group_rates accessors (it *is* the
-       allocation-happy reference implementation). *)
-    copy_exempt = (fun p -> has_suffix ~suffix:"lib/num/reference.ml" (normalize p));
     (* The single-threaded select dispatch: a blocking call here stalls
        every connected client. The blocking Client driver is exempt (it
        is the other side of the wire). *)
@@ -76,6 +71,5 @@ let strict =
     float_strict = (fun _ -> true);
     hashtbl_ordered = (fun _ -> true);
     require_mli = (fun _ -> true);
-    copy_exempt = (fun _ -> false);
     serve_loop = (fun _ -> true);
   }

@@ -14,10 +14,6 @@ type t = {
           finding unless the result feeds a sort *)
   require_mli : string -> bool;
       (** files whose module must ship a [.mli] *)
-  copy_exempt : string -> bool;
-      (** files allowed to call the deprecated copying
-          [Problem.link_loads]/[Problem.group_rates] (the legacy
-          [Nf_num.Reference] oracle only) *)
   serve_loop : string -> bool;
       (** files hosting the single-threaded serve dispatch, where
           blocking Unix calls are findings *)
@@ -28,10 +24,9 @@ val normalize : string -> string
 
 (** The committed repo policy: wall clock only in [Profile] and [bench/],
     float-strictness in [lib/num], [lib/fluid], [lib/serve] and
-    [lib/engine], ordered-output and [.mli] coverage across [lib/],
-    copying accessors only in [lib/num/reference.ml], no blocking calls
-    in [lib/serve] outside the client driver. Assumes paths relative to
-    the repo root. *)
+    [lib/engine], ordered-output and [.mli] coverage across [lib/], no
+    blocking calls in [lib/serve] outside the client driver. Assumes
+    paths relative to the repo root. *)
 val repo_default : t
 
 (** Every rule active on every path (fixture tests). *)

@@ -71,16 +71,8 @@ let catalog =
       stage = Typed;
       summary =
         "an Xwi_core.state or Incidence.t obtained before \
-         Problem.add_group/remove_group/set_cap may not be used after it \
+         Problem.add_group/remove_group may not be used after it \
          without an intervening Problem.commit or Xwi_core.resize";
-    };
-    {
-      id = "deprecated-copy";
-      stage = Typed;
-      summary =
-        "no calls to the copying accessors Problem.link_loads / \
-         Problem.group_rates outside Nf_num.Reference; use the _into \
-         variants with a caller-owned buffer";
     };
     {
       id = "serve-blocking";

@@ -16,7 +16,7 @@
      [Runner] tasks may not write captured mutable state unless the
      write is chunk-local (indexed by a binding of the task's own
      scope), mutex-guarded, or waived with a justification.
-   - [stale-generation] / [deprecated-copy] / [serve-blocking]:
+   - [stale-generation] / [serve-blocking]:
      cross-module API contracts of the delta [Problem] layer and the
      serve loop.
 
@@ -209,18 +209,11 @@ let blocking_calls =
     "Unix.waitpid"; "Unix.create_process"; "Sys.command";
   ]
 
-let problem_mutators =
-  [
-    "Problem.add_group"; "Problem.remove_group"; "Problem.set_cap";
-    "Problem.touch_caps";
-  ]
+(* Capacities are not a staleness axis: the incidence shares the live
+   capacity array, so [Problem.set_cap] invalidates nothing. *)
+let problem_mutators = [ "Problem.add_group"; "Problem.remove_group" ]
 
 let generation_clearers = [ "Problem.commit"; "Xwi_core.resize" ]
-
-(* Bare names too: a module-internal call resolves to a plain ident
-   with no [Problem.] prefix. *)
-let deprecated_copies =
-  [ "Problem.link_loads"; "Problem.group_rates"; "link_loads"; "group_rates" ]
 
 (* --------------------------------------------------------------- *)
 (* domain-safety: closure analysis. *)
@@ -395,7 +388,7 @@ let check_domain_closure ctx ~what closure =
   it.expr it closure
 
 (* --------------------------------------------------------------- *)
-(* Pass A: float-compare, hot-alloc, deprecated-copy, serve-blocking,
+(* Pass A: float-compare, hot-alloc, serve-blocking,
    domain-safety trigger detection. One traversal. *)
 
 let check_hot_node ctx e =
@@ -446,7 +439,6 @@ let poly_compare_hint id =
 let check_main ctx (str : structure) =
   let float_strict = ctx.config.Config.float_strict ctx.file in
   let serve_loop = ctx.config.Config.serve_loop ctx.file in
-  let copy_exempt = ctx.config.Config.copy_exempt ctx.file in
   let hot_depth = ref 0 in
   let rec expr self e =
     with_allows ~check_justification:true ctx e.exp_attributes @@ fun () ->
@@ -488,13 +480,6 @@ let check_main ctx (str : structure) =
                "polymorphic %s on operands not provably float-free; use %s \
                 (nan-safe, monomorphic)"
                (unqualify id) (poly_compare_hint id))
-      | Some id when (not copy_exempt) && path_in id deprecated_copies ->
-        emit ctx ~loc:e.exp_loc "deprecated-copy"
-          (Printf.sprintf
-             "%s copies a fresh array per call; use %s_into with a \
-              caller-owned buffer (the copying accessors survive only in \
-              Nf_num.Reference)"
-             (unqualify id) (unqualify id))
       | Some id when serve_loop && path_in id blocking_calls ->
         emit ctx ~loc:e.exp_loc "serve-blocking"
           (Printf.sprintf
@@ -636,8 +621,8 @@ let check_stale ctx (str : structure) =
       in
       emit ctx ~loc:e.exp_loc "stale-generation"
         (Printf.sprintf
-           "%s %s was obtained before a Problem topology/capacity \
-            mutation and used after it; re-commit the problem and \
+           "%s %s was obtained before a Problem topology mutation \
+            and used after it; re-commit the problem and \
             rebuild (Xwi_core.resize / re-read Problem.incidence) first"
            kind (Ident.name id))
     | Texp_let (_, vbs, body) ->

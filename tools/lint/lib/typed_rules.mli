@@ -3,8 +3,7 @@
 
     Implements [float-compare] and [hot-alloc] on resolved paths and
     inferred types, plus the cross-module contract rules
-    [domain-safety], [stale-generation], [deprecated-copy] and
-    [serve-blocking]. Shares the [@nf.allow] scope grammar with the
+    [domain-safety], [stale-generation] and [serve-blocking]. Shares the [@nf.allow] scope grammar with the
     syntactic stage ({!Rules.allow_of_attr}); a [domain-safety] waiver
     additionally requires a non-empty justification after [--]. *)
 
