@@ -16,8 +16,6 @@ let default = make ()
 
 let quick = make ~scale:0.2 ()
 
-let of_quick ~quick:q = if q then quick else default
-
 let is_quick t = t.scale < 1.
 
 let scaled ?(floor = 1) t n =

@@ -39,10 +39,6 @@ val default : t
 val quick : t
 (** [make ~scale:0.2 ()] — the old [~quick:true]. *)
 
-val of_quick : quick:bool -> t
-(** Back-compat bridge for the deprecated boolean: [true] is {!quick},
-    [false] is {!default}. *)
-
 val is_quick : t -> bool
 (** [scale < 1] (any scaled-down run). *)
 

@@ -13,8 +13,7 @@
    is never bought with a worse allocation. *)
 
 module Problem = Nf_num.Problem
-module Xwi = Nf_num.Xwi_core
-module Kkt = Nf_num.Kkt
+module Solve = Nf_num.Solve
 module Scenario = Nf_serve.Scenario
 
 type event = {
@@ -37,6 +36,11 @@ type t = {
 }
 
 let kkt_tol = 1e-6
+
+(* Both legs solve to the serve engine's stopping rule. *)
+let policy =
+  { Solve.caller = "Exp_churn"; tol = kkt_tol; check_every = 1; max_iters = 50_000;
+    fallback_iters = 0 }
 
 let run ?(seed = 42) ?(prelude = 300) ?(arrivals = 10) ?(target = 100) () =
   let sc = Scenario.leaf_spine ~seed () in
@@ -75,9 +79,7 @@ let run ?(seed = 42) ?(prelude = 300) ?(arrivals = 10) ?(target = 100) () =
   Problem.commit problem;
   let standing = Problem.n_groups problem in
   (* Converge the standing problem once; this state is the warm lineage. *)
-  let params = Xwi.default_params in
-  let state = ref (Xwi.init problem) in
-  ignore (Xwi.run_until_kkt ~tol:kkt_tol ~check_every:1 problem params !state);
+  let state = ref (fst (Solve.run policy problem Solve.Cold)) in
   let events = ref [] in
   for k = 0 to arrivals - 1 do
     (* Force an arrival: departures shrink the problem and the acceptance
@@ -86,25 +88,16 @@ let run ?(seed = 42) ?(prelude = 300) ?(arrivals = 10) ?(target = 100) () =
     | Scenario.Arrive i -> add i
     | Scenario.Depart _ -> assert false);
     Problem.commit problem;
-    state := Xwi.resize problem !state;
-    let warm =
-      Xwi.run_until_kkt ~tol:kkt_tol ~check_every:1 problem params !state
-    in
-    let warm_kkt =
-      Kkt.worst
-        (Kkt.check problem ~rates:!state.Xwi.rates ~prices:!state.Xwi.prices)
-    in
-    let cold_state = Xwi.init problem in
-    let cold =
-      Xwi.run_until_kkt ~tol:kkt_tol ~check_every:1 problem params cold_state
-    in
+    let warm_state, warm = Solve.run policy problem (Solve.Resume !state) in
+    state := warm_state;
+    let _, cold = Solve.run policy problem Solve.Cold in
     events :=
       {
         ev_index = k;
-        warm_iters = warm.Xwi.iterations;
-        cold_iters = cold.Xwi.iterations;
-        ratio = float_of_int warm.Xwi.iterations /. float_of_int cold.Xwi.iterations;
-        warm_kkt;
+        warm_iters = warm.Solve.iterations;
+        cold_iters = cold.Solve.iterations;
+        ratio = float_of_int warm.Solve.iterations /. float_of_int cold.Solve.iterations;
+        warm_kkt = warm.Solve.residual;
         n_flows = Problem.n_flows problem;
       }
       :: !events

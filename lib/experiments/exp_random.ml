@@ -13,7 +13,7 @@
 
 module Problem = Nf_num.Problem
 module Utility = Nf_num.Utility
-module Xwi = Nf_num.Xwi_core
+module Solve = Nf_num.Solve
 module Rng = Nf_util.Rng
 
 type alpha_stats = {
@@ -47,6 +47,9 @@ let random_instance rng ~alpha ~multipath =
 
 let run ?(seed = 17) ?(instances_per_alpha = 40)
     ?(alphas = [ 0.25; 0.5; 1.; 2.; 4. ]) ?(tol = 1e-4) ?(max_iters = 3000) () =
+  let policy =
+    { Solve.caller = "Exp_random"; tol; check_every = 10; max_iters; fallback_iters = 0 }
+  in
   List.map
     (fun alpha ->
       let rng = Rng.create ~seed:(seed + int_of_float (alpha *. 100.)) in
@@ -57,11 +60,10 @@ let run ?(seed = 17) ?(instances_per_alpha = 40)
       for k = 1 to instances_per_alpha do
         let multipath = k mod 3 = 0 in
         let problem = random_instance rng ~alpha ~multipath in
-        let state = Xwi.init problem in
-        let run = Xwi.run_until_kkt ~tol ~max_iters problem Xwi.default_params state in
-        if run.Xwi.converged then begin
+        let state, run = Solve.run policy problem Solve.Cold in
+        if run.Solve.converged then begin
           incr converged;
-          iters := float_of_int run.Xwi.iterations :: !iters;
+          iters := float_of_int run.Solve.iterations :: !iters;
           if Problem.is_single_path problem then begin
             match Nf_num.Oracle.solve_dual ~tol:1e-6 problem with
             | dual ->
@@ -69,7 +71,7 @@ let run ?(seed = 17) ?(instances_per_alpha = 40)
               Array.iteri
                 (fun i x ->
                   let e =
-                    Float.abs (x -. state.Xwi.rates.(i))
+                    Float.abs (x -. state.Nf_num.Xwi_core.rates.(i))
                     /. Float.max dual.Nf_num.Oracle.rates.(i) 1.
                   in
                   if Float.is_nan !max_err || e > !max_err then max_err := e)

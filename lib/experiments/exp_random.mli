@@ -5,7 +5,6 @@
 
 module Problem = Nf_num.Problem
 module Utility = Nf_num.Utility
-module Xwi = Nf_num.Xwi_core
 module Rng = Nf_util.Rng
 type alpha_stats = {
   alpha : float;

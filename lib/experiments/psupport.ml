@@ -115,14 +115,17 @@ let semidyn ?(config = Nf_sim.Config.default)
     activations;
   (* Oracle targets per event epoch. *)
   let caps = Array.map (fun l -> l.Topology.capacity) (Topology.links topology) in
-  let oracle = Support.Warm_oracle.create ~n_links:(Array.length caps) in
+  let oracle =
+    Nf_num.Oracle.Warm.create ~caller:"Psupport.semidyn"
+      ~n_links:(Array.length caps)
+  in
   let target_for actives =
     let groups =
       List.map
         (fun a -> Problem.single_path (utility_of a.path_idx) paths.(a.path_idx))
         actives
     in
-    Support.Warm_oracle.solve oracle (Problem.create ~caps ~groups)
+    Nf_num.Oracle.Warm.solve oracle (Problem.create ~caps ~groups)
   in
   let rise = Nf_util.Ewma.rise_time_90 ~tau:config.Nf_sim.Config.rate_measure_tau in
   let times = ref [] in

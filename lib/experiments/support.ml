@@ -47,43 +47,6 @@ let make_scheme kind problem =
   | Scheme_rcp { params; interval; alpha } ->
     Nf_fluid.Fluid_rcp.make ~params ~interval ~alpha problem
 
-module Warm_oracle = struct
-  type t = { mutable prices : float array option; n_links : int }
-
-  let create ~n_links = { prices = None; n_links }
-
-  let solve ?(tol = 1e-5) t problem =
-    if Problem.n_links problem <> t.n_links then
-      invalid_arg "Warm_oracle.solve: link count mismatch";
-    let params = Xwi_core.default_params in
-    let state =
-      match t.prices with
-      | Some prices -> Xwi_core.init_with_prices problem ~prices
-      | None -> Xwi_core.init problem
-    in
-    let run = Xwi_core.run_until_kkt ~tol ~max_iters:3_000 problem params state in
-    let state =
-      if run.Xwi_core.converged then state
-      else begin
-        (* Cold restart with extra damping. *)
-        let state = Xwi_core.init problem in
-        let params = { params with Xwi_core.beta = 0.8 } in
-        ignore (Xwi_core.run_until_kkt ~tol ~max_iters:20_000 problem params state);
-        state
-      end
-    in
-    let report =
-      Nf_num.Kkt.check problem ~rates:state.Xwi_core.rates
-        ~prices:state.Xwi_core.prices
-    in
-    if Nf_num.Kkt.worst report > tol then
-      raise
-        (Nf_num.Oracle.Did_not_converge
-           (Format.asprintf "Warm_oracle.solve: %a" Nf_num.Kkt.pp report));
-    t.prices <- Some (Array.copy state.Xwi_core.prices);
-    Array.copy state.Xwi_core.rates
-end
-
 type semidyn_setup = {
   seed : int;
   n_paths : int;
@@ -141,14 +104,17 @@ let semidyn_prepare ~setup ~topology ~hosts () =
     in
     Problem.create ~caps ~groups
   in
-  let oracle = Warm_oracle.create ~n_links:(Array.length caps) in
+  let oracle =
+    Nf_num.Oracle.Warm.create ~caller:"Support.semidyn_prepare"
+      ~n_links:(Array.length caps)
+  in
   let problems =
     Array.init (setup.n_events + 1) (fun k ->
         problem_of (Nf_workload.Semidynamic.active_after scenario k))
   in
   let targets =
     Nf_util.Profile.time "oracle-targets" @@ fun () ->
-    Array.map (Warm_oracle.solve oracle) problems
+    Array.map (Nf_num.Oracle.Warm.solve oracle) problems
   in
   { problems; targets }
 

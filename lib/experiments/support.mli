@@ -21,18 +21,6 @@ val scheme_name : scheme_kind -> string
 
 val make_scheme : scheme_kind -> Nf_num.Problem.t -> Nf_fluid.Scheme.t
 
-(** A reusable warm-started exact solver: keeps link prices across calls so
-    that successive, similar problems solve in few iterations. *)
-module Warm_oracle : sig
-  type t
-
-  val create : n_links:int -> t
-
-  val solve : ?tol:float -> t -> Nf_num.Problem.t -> float array
-  (** Optimal per-flow rates; raises {!Nf_num.Oracle.Did_not_converge} if
-      even a cold restart cannot reach the KKT tolerance (default 1e-5). *)
-end
-
 type semidyn_setup = {
   seed : int;
   n_paths : int;

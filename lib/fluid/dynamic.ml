@@ -145,8 +145,8 @@ let run ~caps ~make_scheme ~flows ?reutility ?until () =
 
 (* --------------------------------------------------------------------- *)
 (* Ideal (instantaneous Oracle) driver: event-driven, rates are the exact
-   NUM allocation between consecutive events. Warm-starts the xWI fixed
-   point from the previous event's prices for speed. *)
+   NUM allocation between consecutive events, from an [Oracle.Warm] that
+   carries the previous event's prices. *)
 
 (* A flow counts as finished when less than one byte remains: finishing the
    last byte takes microseconds at any realistic rate, and a strictly
@@ -161,33 +161,14 @@ let run_ideal ?(tol = 1e-5) ~caps ~flows () =
   let now = ref 0. in
   let max_events = 1000 * (1 + List.length flows) in
   let n_events = ref 0 in
-  let n_links = Array.length caps in
-  let prices = ref (Array.make n_links 0.) in
+  let oracle =
+    Nf_num.Oracle.Warm.create ~caller:"Dynamic.run_ideal"
+      ~n_links:(Array.length caps)
+  in
   let solve () =
     match !actives with
     | [] -> [||]
-    | _ :: _ ->
-      let p = build_problem ~caps !actives in
-      let params = Nf_num.Xwi_core.default_params in
-      let state =
-        if Array.for_all (fun x -> Float.equal x 0.) !prices then
-          Nf_num.Xwi_core.init p
-        else Nf_num.Xwi_core.init_with_prices p ~prices:!prices
-      in
-      let run = Nf_num.Xwi_core.run_until_kkt ~tol ~max_iters:3_000 p params state in
-      let state =
-        if run.Nf_num.Xwi_core.converged then state
-        else begin
-          (* Cold restart with more damping if the warm start stalled. *)
-          let state = Nf_num.Xwi_core.init p in
-          let params = { Nf_num.Xwi_core.default_params with Nf_num.Xwi_core.beta = 0.8 } in
-          ignore
-            (Nf_num.Xwi_core.run_until_kkt ~tol ~max_iters:20_000 p params state);
-          state
-        end
-      in
-      prices := Array.copy state.Nf_num.Xwi_core.prices;
-      Array.copy state.Nf_num.Xwi_core.rates
+    | _ :: _ -> Nf_num.Oracle.Warm.solve ~tol oracle (build_problem ~caps !actives)
   in
   let rates = ref [||] in
   let finished = ref false in

@@ -61,6 +61,10 @@ val run :
 
 val run_ideal : ?tol:float -> caps:float array -> flows:flow_spec list -> unit -> result
 (** Event-driven Oracle run: rates are the exact NUM allocation,
-    recomputed (warm-started) at every arrival and departure; between
-    events every flow drains at its optimal rate. [tol] is the KKT
-    residual target of the per-event solve (default 1e-5). *)
+    recomputed by one {!Nf_num.Oracle.Warm} at every arrival and
+    departure; between events every flow drains at its optimal rate.
+    [tol] is the KKT residual target of the per-event solve (default
+    1e-5).
+    @raise Nf_num.Oracle.Did_not_converge naming ["Dynamic.run_ideal"]
+    if an event's solve cannot be certified, rather than draining flows
+    at uncertified rates. *)

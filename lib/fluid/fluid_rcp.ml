@@ -35,7 +35,7 @@ let make_with_fair_rates ?(params = default_params)
   (* Advertise the per-link equal share initially. *)
   let fair_rates =
     Array.init n_links (fun l ->
-        let n = Array.length (Problem.link_flows !problem l) in
+        let n = Nf_num.Incidence.link_degree (Problem.incidence !problem) l in
         caps0.(l) /. float_of_int (Stdlib.max n 1))
   in
   let queues = Array.make n_links 0. in

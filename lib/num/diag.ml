@@ -11,7 +11,7 @@ module Json = Nf_util.Json
 
 type sample = {
   s_iter : int;  (* 1-based iteration index within this state's life *)
-  s_residual : float;  (* max relative price/rate change (fixpoint metric) *)
+  s_residual : float;  (* max relative price/rate change over the step *)
   s_price_delta : float;  (* max |Δ price| *)
   s_price_l2 : float;  (* l2 norm of the price delta vector *)
   s_worst_link : int;  (* link with the largest |Δ price| *)

@@ -7,8 +7,9 @@
     then:
 
     - snapshots prices/rates before the step ({!begin_iter}),
-    - derives residual norms (max relative price/rate change — the
-      fixpoint convergence metric — plus the l∞/l2 price deltas and the
+    - derives residual norms (max relative price/rate change per step —
+      a progress metric; runs stop on the KKT residual of
+      {!Xwi_core.run_until_kkt} — plus the l∞/l2 price deltas and the
       worst-residual link), active-link counts, the water-fill round
       count / fill level / saturated-link count from
       {!Maxmin.sparse_workspace}, and per-shard chunk timings from
@@ -25,8 +26,7 @@
 type sample = {
   s_iter : int;  (** 1-based iteration index within this state's life *)
   s_residual : float;
-      (** max relative price/rate change — the {!Xwi_core.run_to_fixpoint}
-          convergence metric *)
+      (** max relative price/rate change over this step *)
   s_price_delta : float;  (** max |Δ price| (l∞) *)
   s_price_l2 : float;  (** l2 norm of the price-delta vector *)
   s_worst_link : int;  (** link with the largest |Δ price|; -1 if none *)

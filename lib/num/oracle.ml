@@ -106,26 +106,44 @@ let solve_dual ?(tol = 1e-8) ?(max_iters = 300_000) problem =
             !iterations Kkt.pp sol.kkt));
   sol
 
-let solve ?(tol = 1e-6) ?(max_iters = 60_000) problem =
-  let params = Xwi_core.default_params in
-  let state = Xwi_core.init problem in
-  let run = Xwi_core.run_until_kkt ~tol ~max_iters problem params state in
-  let check () =
-    Kkt.check problem ~rates:state.Xwi_core.rates ~prices:state.Xwi_core.prices
+(* The one place an uncertified {!Solve} outcome becomes an exception:
+   the message names the policy's caller, and the KKT report is computed
+   only on this error path. *)
+let certified_run (policy : Solve.policy) problem start =
+  let ((state : Xwi_core.state), (o : Solve.outcome)) as result =
+    Solve.run policy problem start
   in
-  let report = ref (check ()) in
-  let iterations = ref run.Xwi_core.iterations in
-  if Kkt.worst !report > tol then begin
-    (* Retry with heavier damping; helps borderline multipath instances. *)
-    let params = { Xwi_core.default_params with Xwi_core.beta = 0.9 } in
-    let run2 = Xwi_core.run_until_kkt ~tol ~max_iters problem params state in
-    iterations := !iterations + run2.Xwi_core.iterations;
-    report := check ()
-  end;
-  if Kkt.worst !report > tol then
+  if not o.converged then
     raise
       (Did_not_converge
-         (Format.asprintf "Oracle.solve: after %d iterations, %a" !iterations
-            Kkt.pp !report));
-  make_solution problem ~rates:(Array.copy state.Xwi_core.rates)
-    ~prices:(Array.copy state.Xwi_core.prices) ~iterations:!iterations
+         (Format.asprintf "%s: after %d iterations%s, %a" policy.caller o.iterations
+            (if o.fallback then " (cold restart included)" else "")
+            Kkt.pp
+            (Kkt.check problem ~rates:state.rates ~prices:state.prices)));
+  result
+
+let solve ?(tol = 1e-6) ?(max_iters = 60_000) problem =
+  let policy =
+    { Solve.caller = "Oracle.solve"; tol; check_every = 10; max_iters;
+      fallback_iters = max_iters }
+  in
+  let state, o = certified_run policy problem Solve.Cold in
+  make_solution problem ~rates:state.rates ~prices:state.prices ~iterations:o.iterations
+
+module Warm = struct
+  type t = { caller : string; n_links : int; mutable prices : float array option }
+
+  let create ~caller ~n_links = { caller; n_links; prices = None }
+
+  let solve ?(tol = 1e-5) t problem =
+    if Problem.n_links problem <> t.n_links then
+      invalid_arg (t.caller ^ ": Oracle.Warm.solve: link count mismatch");
+    let policy =
+      { Solve.caller = t.caller; tol; check_every = 10; max_iters = 3_000;
+        fallback_iters = 20_000 }
+    in
+    let start = match t.prices with Some p -> Solve.Prices p | None -> Solve.Cold in
+    let state, _ = certified_run policy problem start in
+    t.prices <- Some state.prices;
+    state.rates
+end

@@ -26,12 +26,11 @@ type t = {
   capacities : float array;
       (* live; fixed length for the problem's life; shared by every
          compiled incidence *)
-  (* compiled snapshot: exactly the dense structure solvers iterate over *)
+  (* compiled snapshot: the paths, the utilities and the incidence (CSR,
+     CSC, group CSR, group_of_flow), which is the one index every
+     accessor reads *)
   mutable flow_paths : int array array;  (* flow -> link ids *)
-  mutable groups_of_flow : int array;
-  mutable members : int array array;  (* group -> flow ids *)
   mutable utilities : Utility.t array;  (* group -> utility *)
-  mutable flows_on_link : int array array;  (* link -> flow ids *)
   mutable incidence : Incidence.t;
   mutable topo_gen : int;  (* bumped on every commit that recompiled *)
   mutable dirty : bool;  (* ledger changed since the last compile *)
@@ -64,14 +63,14 @@ let entry_of_spec ~ctx ~n_links ~gid spec =
   { gid; utility = spec.utility; epaths; alive = true }
 
 (* ------------------------------------------------------------------ *)
-(* Compile: rebuild the dense snapshot (and the sparse incidence) from
-   the live ledger entries. Flows are numbered group-major in ledger
-   order, exactly the layout [Incidence.create] requires. O(flows +
-   nnz + links) — shared by [create] and the delta path, so batch
-   construction and churn maintenance exercise one code route. *)
+(* Compile: rebuild the dense snapshot (paths, utilities and the sparse
+   incidence, the snapshot's only index) from the live ledger entries.
+   Flows are numbered group-major in ledger order, exactly the layout
+   [Incidence.create] requires. O(flows + nnz + links) — shared by
+   [create] and the delta path, so batch construction and churn
+   maintenance exercise one code route. *)
 
 let compile t =
-  let n_links = Array.length t.capacities in
   let n_groups = t.n_entries in
   let total = ref 0 in
   for s = 0 to n_groups - 1 do
@@ -79,44 +78,20 @@ let compile t =
   done;
   let n_flows = !total in
   let flow_paths = Array.make n_flows [||] in
-  let groups_of_flow = Array.make n_flows 0 in
-  let utilities = Array.init n_groups (fun g -> t.entries.(g).utility) in
-  let members = Array.make n_groups [||] in
+  let group_of_flow = Array.make n_flows 0 in
   let idx = ref 0 in
   for g = 0 to n_groups - 1 do
-    let e = t.entries.(g) in
-    let m = Array.make (Array.length e.epaths) 0 in
-    for k = 0 to Array.length e.epaths - 1 do
-      let id = !idx in
-      incr idx;
-      m.(k) <- id;
-      flow_paths.(id) <- e.epaths.(k);
-      groups_of_flow.(id) <- g
-    done;
-    members.(g) <- m
+    Array.iter
+      (fun path ->
+        flow_paths.(!idx) <- path;
+        group_of_flow.(!idx) <- g;
+        incr idx)
+      t.entries.(g).epaths
   done;
-  let on_link = Array.make n_links [] in
-  Array.iteri
-    (fun i path ->
-      (* Dedup repeated links on a path (shouldn't happen, but keeps the
-         incidence structure a set). *)
-      let seen = Hashtbl.create 8 in
-      Array.iter
-        (fun lid ->
-          if not (Hashtbl.mem seen lid) then begin
-            Hashtbl.add seen lid ();
-            on_link.(lid) <- i :: on_link.(lid)
-          end)
-        path)
-    flow_paths;
   t.flow_paths <- flow_paths;
-  t.groups_of_flow <- groups_of_flow;
-  t.members <- members;
-  t.utilities <- utilities;
-  t.flows_on_link <- Array.map (fun l -> Array.of_list (List.rev l)) on_link;
+  t.utilities <- Array.init n_groups (fun g -> t.entries.(g).utility);
   t.incidence <-
-    Incidence.create ~caps:t.capacities ~paths:flow_paths
-      ~group_of_flow:groups_of_flow ~n_groups;
+    Incidence.create ~caps:t.capacities ~paths:flow_paths ~group_of_flow ~n_groups;
   t.topo_gen <- t.topo_gen + 1;
   t.dirty <- false
 
@@ -175,10 +150,7 @@ let create_groups ~caps ~groups =
     {
       capacities;
       flow_paths = [||];
-      groups_of_flow = [||];
-      members = [||];
       utilities = [||];
-      flows_on_link = [||];
       incidence =
         Incidence.create ~caps:capacities ~paths:[||] ~group_of_flow:[||]
           ~n_groups:0;
@@ -273,7 +245,7 @@ let n_flows t =
 
 let n_groups t =
   force t;
-  Array.length t.members
+  t.incidence.Incidence.n_groups
 
 let flow_path t i =
   force t;
@@ -281,15 +253,11 @@ let flow_path t i =
 
 let flow_group t i =
   force t;
-  t.groups_of_flow.(i)
+  t.incidence.Incidence.group_of_flow.(i)
 
 let path_len t i =
   force t;
   Array.length t.flow_paths.(i)
-
-let group_members t g =
-  force t;
-  t.members.(g)
 
 let group_utility t g =
   force t;
@@ -297,7 +265,9 @@ let group_utility t g =
 
 let link_flows t l =
   force t;
-  t.flows_on_link.(l)
+  let inc = t.incidence in
+  let start = inc.Incidence.col_ptr.(l) in
+  Array.sub inc.Incidence.col_rows start (inc.Incidence.col_ptr.(l + 1) - start)
 
 let paths t =
   force t;
@@ -309,10 +279,10 @@ let incidence t =
 
 let group_rate t ~rates g =
   force t;
-  let members = t.members.(g) in
+  let inc = t.incidence in
   let acc = ref 0. in
-  for k = 0 to Array.length members - 1 do
-    acc := !acc +. rates.(members.(k))
+  for k = inc.Incidence.grp_ptr.(g) to inc.Incidence.grp_ptr.(g + 1) - 1 do
+    acc := !acc +. rates.(inc.Incidence.grp_flows.(k))
   done;
   !acc
 
@@ -342,12 +312,12 @@ let[@nf.hot] path_price t ~prices i =
 
 let is_single_path t =
   force t;
-  Array.for_all (fun m -> Array.length m = 1) t.members
+  t.incidence.Incidence.singleton
 
 let total_utility t ~rates =
   force t;
   let total = ref 0. in
-  for g = 0 to Array.length t.members - 1 do
+  for g = 0 to Array.length t.utilities - 1 do
     total := !total +. t.utilities.(g).Utility.value (group_rate t ~rates g)
   done;
   !total

@@ -117,12 +117,11 @@ val flow_group : t -> int -> int
 val path_len : t -> int -> int
 (** [|L(i)|] of the paper: number of links on flow [i]'s path. *)
 
-val group_members : t -> int -> int array
-
 val group_utility : t -> int -> Utility.t
 
 val link_flows : t -> int -> int array
-(** Flows crossing the given link ([S(l)] of the paper). *)
+(** Flows crossing the given link ([S(l)] of the paper), ascending: a
+    fresh copy of the link's column of the incidence's CSC. *)
 
 val paths : t -> int array array
 (** The live flow→path incidence array ([paths.(flow)] = link ids).

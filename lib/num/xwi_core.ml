@@ -66,11 +66,9 @@ let[@inline] urate_fast u p =
 (* Per-state scratch: one allocation at [init], zero per [step]. The
    step pipeline sweeps the state's own [prices]/[rates]/[weights]; these
    are the remaining per-step intermediates (see DESIGN.md "Sparse NUM
-   core") plus the fixpoint loop's snapshots. Abstract in the interface
-   so states can only come from the init functions. *)
+   core"). Abstract in the interface so states can only come from the
+   init functions. *)
 type buffers = {
-  b_old_prices : float array;  (* n_links; fixpoint-loop snapshot *)
-  b_old_rates : float array;  (* n_flows; fixpoint-loop snapshot *)
   b_path_price : float array;  (* n_flows; computed once per step *)
   b_loads : float array;  (* n_links *)
   b_residual : float array;  (* n_flows *)
@@ -99,8 +97,6 @@ let make_buffers problem =
   and n_flows = Problem.n_flows problem
   and n_groups = Problem.n_groups problem in
   {
-    b_old_prices = Array.make n_links 0.;
-    b_old_rates = Array.make n_flows 0.;
     b_path_price = Array.make n_flows 0.;
     b_loads = Array.make n_links 0.;
     b_residual = Array.make n_flows 0.;
@@ -401,14 +397,13 @@ let step problem params state =
       ~wf_saturated:(Maxmin.sparse_saturated_links ws)
       ~shard_chunks
 
-type run = { iterations : int; converged : bool }
+type run = { iterations : int; converged : bool; residual : float }
 
-(* [residual] is the run's final convergence metric (relative fixpoint
-   delta or KKT residual, per the entry point): it rides on the
+(* [run.residual] is the final KKT residual: it rides on the
    [XwiNonconverged] trace event and overrides the postmortem's meta
-   residual, so a capped run's forensics carry the number the caller was
-   actually iterating on. *)
-let finish_run state ~residual run =
+   residual (the diag ring's own metric is the per-step change), so a
+   capped run's forensics carry the number the loop was stopping on. *)
+let finish_run state run =
   Metrics.incr m_runs;
   if run.converged then Metrics.incr m_converged
   else begin
@@ -418,50 +413,13 @@ let finish_run state ~residual run =
       Trace.emit tr Trace.XwiNonconverged ~subject:0
         ~time:(float_of_int run.iterations)
         ~aux:(float_of_int run.iterations)
-        residual;
+        run.residual;
     match state.diag with
     | None -> ()
-    | Some d -> Diag.dump_auto ~final_residual:residual d ~converged:false
+    | Some d -> Diag.dump_auto ~final_residual:run.residual d ~converged:false
   end;
   Metrics.observe m_iterations (float_of_int run.iterations);
   run
-
-let run_to_fixpoint ?(tol = 1e-10) ?(max_iters = 50_000) problem params state =
-  Nf_util.Profile.time "xwi-solve" @@ fun () ->
-  let n_links = Problem.n_links problem and n_flows = Problem.n_flows problem in
-  let tr = Trace.default () in
-  let old_prices = state.buffers.b_old_prices
-  and old_rates = state.buffers.b_old_rates in
-  (* Residual of the most recent iteration, for [finish_run] forensics at
-     the cap (where the in-loop [delta] of the capped iteration is out of
-     scope). *)
-  let last_delta = ref infinity in
-  let rec loop iter =
-    if iter >= max_iters then
-      finish_run state ~residual:!last_delta
-        { iterations = iter; converged = false }
-    else begin
-      Array.blit state.prices 0 old_prices 0 n_links;
-      Array.blit state.rates 0 old_rates 0 n_flows;
-      step problem params state;
-      trace_iter tr (iter + 1);
-      let delta = ref 0. in
-      for l = 0 to n_links - 1 do
-        let scale = Float.max (Float.abs old_prices.(l)) 1e-30 in
-        delta := Float.max !delta (Float.abs (state.prices.(l) -. old_prices.(l)) /. scale)
-      done;
-      for i = 0 to n_flows - 1 do
-        let scale = Float.max (Float.abs old_rates.(i)) 1e-30 in
-        delta := Float.max !delta (Float.abs (state.rates.(i) -. old_rates.(i)) /. scale)
-      done;
-      last_delta := !delta;
-      if !delta < tol then
-        finish_run state ~residual:!delta
-          { iterations = iter + 1; converged = true }
-      else loop (iter + 1)
-    end
-  in
-  loop 0
 
 let run_until_kkt ?(tol = 1e-6) ?(check_every = 10) ?(max_iters = 50_000) problem
     params state =
@@ -475,9 +433,9 @@ let run_until_kkt ?(tol = 1e-6) ?(check_every = 10) ?(max_iters = 50_000) proble
   in
   let rec loop iter =
     if optimal () then
-      finish_run state ~residual:!worst { iterations = iter; converged = true }
+      finish_run state { iterations = iter; converged = true; residual = !worst }
     else if iter >= max_iters then
-      finish_run state ~residual:!worst { iterations = iter; converged = false }
+      finish_run state { iterations = iter; converged = false; residual = !worst }
     else begin
       let chunk = Stdlib.min check_every (max_iters - iter) in
       for k = 1 to chunk do

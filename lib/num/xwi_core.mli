@@ -107,12 +107,21 @@ val step : Problem.t -> params -> state -> unit
     {!Problem.caps}, so a capacity written there before the step is the
     one it uses. *)
 
-type run = { iterations : int; converged : bool }
+type run = {
+  iterations : int;
+  converged : bool;
+  residual : float;  (** worst KKT residual at the last check *)
+}
 
-val run_to_fixpoint :
-  ?tol:float -> ?max_iters:int -> Problem.t -> params -> state -> run
-(** Iterate until the largest relative change of any price and rate falls
-    below [tol] (default 1e-10) or [max_iters] (default 50_000) is hit.
+val run_until_kkt :
+  ?tol:float -> ?check_every:int -> ?max_iters:int -> Problem.t -> params -> state -> run
+(** Iterate until the worst KKT residual of the current (rates, prices)
+    falls below [tol] (default 1e-6), checking before the first step and
+    then every [check_every] steps (default 10), or until [max_iters]
+    (default 50_000) steps. KKT stopping, not per-step deltas: near a
+    fixed point the deltas stall at numerical noise long after the
+    iterate is optimal. This is the loop inside {!Solve.run}, the one
+    driver every library caller goes through.
 
     Every run increments [nf_xwi_runs_total] and observes
     [nf_xwi_iterations]; a converged run increments
@@ -121,11 +130,3 @@ val run_to_fixpoint :
     carrying the final residual and iteration count, and — if the state
     carries a {!Diag.t} — dumps a JSONL postmortem via
     {!Diag.dump_auto}. *)
-
-val run_until_kkt :
-  ?tol:float -> ?check_every:int -> ?max_iters:int -> Problem.t -> params -> state -> run
-(** Iterate until the worst KKT residual of the current (rates, prices)
-    falls below [tol] (default 1e-6), checking every [check_every]
-    iterations (default 10). This is the efficient stopping rule for
-    oracle-style use: per-iteration deltas can stall at numerical noise
-    long after the iterate is optimal to any practical tolerance. *)

@@ -57,9 +57,7 @@ type stats = {
 
 type t = {
   problem : Problem.t;
-  params : Xwi_core.params;
-  tol : float;
-  max_iters : int;
+  policy : Nf_num.Solve.policy;
   mutable state : Xwi_core.state option;
   mutable pending : int;  (* events since the last epoch *)
   mutable epochs : int;
@@ -74,13 +72,13 @@ type t = {
   mutable lat_n : int;  (* samples ever recorded *)
 }
 
-let create ?(params = Xwi_core.default_params) ?(tol = 1e-6) ?(max_iters = 50_000)
-    ~caps () =
+let create ?(tol = 1e-6) ?(max_iters = 50_000) ~caps () =
   {
     problem = Problem.create_groups ~caps ~groups:[||];
-    params;
-    tol;
-    max_iters;
+    (* check granularity 1 keeps warm epochs from overshooting *)
+    policy =
+      { Nf_num.Solve.caller = "Serve.Engine"; tol; check_every = 1; max_iters;
+        fallback_iters = 0 };
     state = None;
     pending = 0;
     epochs = 0;
@@ -138,21 +136,14 @@ let solve_epoch t =
       (0, true, false)
     end
     else begin
-      let warm, state =
+      let start =
         match t.state with
-        | Some old -> (true, Xwi_core.resize t.problem old)
-        | None -> (false, Xwi_core.init t.problem)
+        | Some old -> Nf_num.Solve.Resume old
+        | None -> Nf_num.Solve.Cold
       in
+      let state, o = Nf_num.Solve.run t.policy t.problem start in
       t.state <- Some state;
-      let run =
-        (* KKT-residual stopping, not per-iteration deltas: near a warm
-           fixpoint the deltas stall at numerical noise long after the
-           iterate is optimal (see [run_until_kkt]'s doc), and check
-           granularity 1 keeps warm epochs from overshooting. *)
-        Xwi_core.run_until_kkt ~tol:t.tol ~check_every:1 ~max_iters:t.max_iters
-          t.problem t.params state
-      in
-      (run.Xwi_core.iterations, run.Xwi_core.converged, warm)
+      (o.Nf_num.Solve.iterations, o.Nf_num.Solve.converged, o.Nf_num.Solve.warm)
     end
   in
   if warm then begin

@@ -4,8 +4,8 @@
     set (topology is chosen at startup; {e flows} churn), applies
     arrival/departure/capacity events, and re-solves in {e epochs}: all
     events since the previous epoch are committed in one batch and xWI is
-    {e warm-started} from the previous epoch's converged prices via
-    [Xwi_core.resize] — near the old fixpoint this converges in a small
+    {e warm-started} from the previous epoch's state (a {!Nf_num.Solve}
+    [Resume] start) — near the old optimum this converges in a small
     fraction of a cold start's iterations, which is the entire point of
     an always-on service (the [churn] experiment and the
     [warm_vs_cold_iters] bench kernel quantify it).
@@ -19,16 +19,15 @@
 type t
 
 val create :
-  ?params:Nf_num.Xwi_core.params ->
   ?tol:float ->
   ?max_iters:int ->
   caps:float array ->
   unit ->
   t
-(** An idle engine over the given link capacities. [tol] (default 1e-6)
-    and [max_iters] (default 50_000) bound each epoch's
-    [Xwi_core.run_until_kkt] (KKT-residual stopping — per-iteration
-    deltas stall at numerical noise near a warm fixpoint). *)
+(** An idle engine over the given link capacities. Each epoch is one
+    {!Nf_num.Solve.run} named ["Serve.Engine"]: KKT residual [tol]
+    (default 1e-6) checked every step, at most [max_iters] (default
+    50_000) steps, no fallback. *)
 
 val problem : t -> Nf_num.Problem.t
 

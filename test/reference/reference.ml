@@ -6,6 +6,18 @@
 
 open Nf_num
 
+(* Group members and the flows on a link, rebuilt from the per-flow
+   [flow_group]/[flow_path] alone, so the oracle never reads the
+   incidence index it is checked against. Both ascend by flow id. *)
+let flows_where problem pred =
+  Array.of_list (List.filter pred (List.init (Problem.n_flows problem) Fun.id))
+
+let group_members problem g =
+  flows_where problem (fun i -> Int.equal (Problem.flow_group problem i) g)
+
+let link_flows problem l =
+  flows_where problem (fun i -> Array.mem l (Problem.flow_path problem i))
+
 let path_price problem ~prices i =
   Array.fold_left
     (fun acc lid -> acc +. prices.(lid))
@@ -16,7 +28,7 @@ let group_rate problem ~rates g =
   Array.fold_left
     (fun acc i -> acc +. rates.(i))
     0.
-    (Problem.group_members problem g)
+    (group_members problem g)
 
 let link_loads problem ~rates =
   let loads = Array.make (Problem.n_links problem) 0. in
@@ -31,7 +43,7 @@ let link_loads problem ~rates =
 let flow_weights problem ~prices ~prev_rates =
   let out = Array.make (Problem.n_flows problem) 0. in
   for g = 0 to Problem.n_groups problem - 1 do
-    let members = Problem.group_members problem g in
+    let members = group_members problem g in
     let u = Problem.group_utility problem g in
     if Array.length members = 1 then begin
       let i = members.(0) in
@@ -74,7 +86,7 @@ let price_update problem (params : Xwi_core.params) ~prices ~rates =
   in
   let out = Array.make n_links 0. in
   for l = 0 to n_links - 1 do
-    let flows = Problem.link_flows problem l in
+    let flows = link_flows problem l in
     let n_here = float_of_int (Array.length flows) in
     let min_res =
       match params.Xwi_core.residual_agg with

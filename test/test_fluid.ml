@@ -296,6 +296,37 @@ let test_ideal_sequential_arrivals () =
   check_close ~rel:1e-4 "flow 0 fct" 3e-3 (fct 0);
   check_close ~rel:1e-4 "flow 1 fct" 2e-3 (fct 1)
 
+let contains ~needle s =
+  let n = String.length needle and m = String.length s in
+  let rec go i = i + n <= m && (String.equal (String.sub s i n) needle || go (i + 1)) in
+  go 0
+
+let test_ideal_uncertified_raises () =
+  (* The mixed-alpha-in-bps instance (ROADMAP item 3), shrunk to a
+     two-link parking lot: the alpha = 0.5 flow crosses both 10 Gbps links
+     and competes with an alpha = 1 flow on one and an alpha = 2 flow on
+     the other. In bps the marginal utilities differ by ~13 orders of
+     magnitude, and neither the 3 000-step start nor the 20 000-step cold
+     restart certifies KKT 1e-5. The driver must refuse to drain flows
+     at those rates, and say which solve failed. *)
+  let flow key alpha path =
+    {
+      Dynamic.key;
+      arrival = 0.;
+      size = 1.25e6;
+      path;
+      utility = Utility.alpha_fair ~alpha ();
+    }
+  in
+  let flows = [ flow 0 0.5 [| 0; 1 |]; flow 1 1. [| 0 |]; flow 2 2. [| 1 |] ] in
+  match Dynamic.run_ideal ~caps:[| 10e9; 10e9 |] ~flows () with
+  | _ -> Alcotest.fail "uncertified rates were returned silently"
+  | exception Nf_num.Oracle.Did_not_converge msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "message names the caller: %s" msg)
+      true
+      (contains ~needle:"Dynamic.run_ideal" msg)
+
 let test_achieved_rate () =
   let c = { Dynamic.c_key = 0; c_arrival = 1.; c_size = 1.25e6; c_finish = 2. } in
   check_close "rate = size*8/fct" 1e7 (Dynamic.achieved_rate c)
@@ -333,6 +364,7 @@ let () =
           quick "until cuts off" test_dynamic_until_cuts_off;
           quick "ideal single flow" test_ideal_single_flow_exact;
           quick "ideal sequential arrivals" test_ideal_sequential_arrivals;
+          quick "ideal uncertified solve raises" test_ideal_uncertified_raises;
           quick "achieved rate" test_achieved_rate;
         ] );
     ]

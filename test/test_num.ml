@@ -350,7 +350,7 @@ let test_xwi_single_link_proportional () =
   let u = Utility.proportional_fair () in
   let p = single_link_problem ~cap:10. [ u; u ] in
   let state = Xwi.init p in
-  let run = Xwi.run_to_fixpoint ~tol:1e-12 p Xwi.default_params state in
+  let run = Xwi.run_until_kkt ~tol:1e-12 ~check_every:1 p Xwi.default_params state in
   Alcotest.(check bool) "converged" true run.Xwi.converged;
   check_rates ~rel:1e-6 "equal shares" [| 5.; 5. |] state.Xwi.rates
 
@@ -369,8 +369,10 @@ let test_xwi_prices_drive_weights () =
   (* At the fixed point, weights equal the optimal rates (paper §4.2). *)
   let u = Utility.proportional_fair () in
   let p = single_link_problem ~cap:10. [ u; u; u; u ] in
-  let state = Xwi.init p in
-  ignore (Xwi.run_to_fixpoint ~tol:1e-13 p Xwi.default_params state);
+  (* Start off the optimum: for equal flows the standard seed already
+     certifies, and the KKT loop would then return before any step. *)
+  let state = Xwi.init_with_prices p ~prices:[| 1. |] in
+  ignore (Xwi.run_until_kkt ~tol:1e-12 ~check_every:1 p Xwi.default_params state);
   Array.iteri
     (fun i w -> check_close ~rel:1e-5 (Printf.sprintf "w%d = x%d" i i) state.Xwi.rates.(i) w)
     state.Xwi.weights
@@ -1013,7 +1015,7 @@ let test_diag_observe_and_report () =
   let state = Xwi.init p in
   let d = Diag.create ~capacity:8 ~n_links:2 ~n_flows:3 () in
   Xwi.set_diag state (Some d);
-  let run = Xwi.run_to_fixpoint ~tol:1e-10 p Xwi.default_params state in
+  let run = Xwi.run_until_kkt ~tol:1e-10 ~check_every:1 p Xwi.default_params state in
   Alcotest.(check bool) "converged" true run.Xwi.converged;
   Alcotest.(check int) "every iteration observed" run.Xwi.iterations
     (Diag.iterations d);
@@ -1085,7 +1087,9 @@ let test_diag_postmortem_on_nonconvergence () =
       let state = Xwi.init p in
       Alcotest.(check bool) "diag auto-attached under config" true
         (match Xwi.diag state with Some _ -> true | None -> false);
-      let run = Xwi.run_to_fixpoint ~max_iters:3 p Xwi.default_params state in
+      let run =
+        Xwi.run_until_kkt ~check_every:1 ~max_iters:3 p Xwi.default_params state
+      in
       Alcotest.(check bool) "capped run did not converge" false
         run.Xwi.converged;
       Alcotest.(check int) "nonconverged counter incremented" (before + 1)
@@ -1109,6 +1113,77 @@ let test_diag_postmortem_on_nonconvergence () =
   (* A second configure resets the sequence counter. *)
   Alcotest.(check int) "configure resets counter" 0
     (Diag.postmortems_written ())
+
+(* ------------------------------------------------------------------ *)
+(* Solve: the one driver behind every certified xWI answer *)
+
+module Solve = Nf_num.Solve
+
+let solve_policy ?(fallback_iters = 0) ?(check_every = 1) ~max_iters () =
+  { Solve.caller = "test"; tol = 1e-9; check_every; max_iters; fallback_iters }
+
+let worst_of p (st : Xwi.state) =
+  Kkt.worst (Kkt.check p ~rates:st.Xwi.rates ~prices:st.Xwi.prices)
+
+let test_solve_forced_fallback () =
+  let p = diag_problem () in
+  let _, reference = Solve.run (solve_policy ~max_iters:50_000 ()) p Solve.Cold in
+  Alcotest.(check bool) "reference solve converged" true reference.Solve.converged;
+  (* One step cannot certify the parking lot from stale prices, so the
+     cold restart runs and owns the answer. *)
+  let st, o =
+    Solve.run
+      (solve_policy ~max_iters:1 ~fallback_iters:50_000 ())
+      p (Solve.Prices [| 1.; 1. |])
+  in
+  Alcotest.(check bool) "fallback fired" true o.Solve.fallback;
+  Alcotest.(check bool) "fallback answer is cold" false o.Solve.warm;
+  Alcotest.(check bool) "fallback converged" true o.Solve.converged;
+  Alcotest.(check bool) "iterations count both legs" true (o.Solve.iterations > 1);
+  Alcotest.(check (float 0.)) "residual is the returned state's" (worst_of p st)
+    o.Solve.residual
+
+let test_solve_no_fallback_reports () =
+  let p = diag_problem () in
+  let st, o = Solve.run (solve_policy ~max_iters:1 ()) p Solve.Cold in
+  Alcotest.(check bool) "not converged" false o.Solve.converged;
+  Alcotest.(check bool) "no fallback" false o.Solve.fallback;
+  Alcotest.(check int) "stopped at the cap" 1 o.Solve.iterations;
+  Alcotest.(check (float 0.)) "residual is the returned state's" (worst_of p st)
+    o.Solve.residual;
+  Alcotest.(check bool) "residual above tol" true (o.Solve.residual > 1e-9)
+
+let test_solve_residual_and_resume () =
+  let p = diag_problem () in
+  let policy = solve_policy ~check_every:10 ~max_iters:50_000 () in
+  let st, cold = Solve.run policy p Solve.Cold in
+  Alcotest.(check bool) "cold converged" true cold.Solve.converged;
+  Alcotest.(check bool) "cold is not warm" false cold.Solve.warm;
+  Alcotest.(check (float 0.)) "residual = Kkt.worst of the state" (worst_of p st)
+    cold.Solve.residual;
+  let gid =
+    Problem.add_group p (Problem.single_path (Utility.proportional_fair ()) [| 0 |])
+  in
+  Problem.commit p;
+  let st', warm = Solve.run policy p (Solve.Resume st) in
+  Alcotest.(check bool) "resume is warm" true warm.Solve.warm;
+  Alcotest.(check bool) "resume converged" true warm.Solve.converged;
+  Alcotest.(check bool) "no fallback" false warm.Solve.fallback;
+  Alcotest.(check (float 0.)) "warm residual = Kkt.worst of the state"
+    (worst_of p st') warm.Solve.residual;
+  Problem.remove_group p gid;
+  Problem.commit p;
+  let _, prices = Solve.run policy p (Solve.Prices st'.Xwi.prices) in
+  Alcotest.(check bool) "carried prices are warm" true prices.Solve.warm
+
+let test_oracle_names_caller () =
+  (* A capped solve that cannot certify raises with the caller's name. *)
+  let p = diag_problem () in
+  match Oracle.solve ~tol:1e-12 ~max_iters:1 p with
+  | _ -> Alcotest.fail "one step certified the parking lot"
+  | exception Oracle.Did_not_converge msg ->
+    Alcotest.(check bool) ("names Oracle.solve: " ^ msg) true
+      (contains ~needle:"Oracle.solve" msg)
 
 let () =
   Alcotest.run "nf_num"
@@ -1211,5 +1286,12 @@ let () =
           quick "observe and report" test_diag_observe_and_report;
           quick "postmortem on non-convergence"
             test_diag_postmortem_on_nonconvergence;
+        ] );
+      ( "solve",
+        [
+          quick "forced fallback is cold" test_solve_forced_fallback;
+          quick "capped without fallback reports" test_solve_no_fallback_reports;
+          quick "residual and resume" test_solve_residual_and_resume;
+          quick "oracle names its caller" test_oracle_names_caller;
         ] );
     ]
